@@ -42,16 +42,16 @@ The decode offload tier (``DbgcServer(decode_workers=N)``) moves
 processes with per-stream affinity: each worker owns its streams'
 stateful temporal decoders, frames decode in arrival order, and decoded
 clouds return through pickle-protocol-5 out-of-band buffers — so
-decompress-mode fleet throughput scales with cores while every ingest
-contract (ACK after commit, journaling, quarantine, dedupe, byte-
-identical store contents) stays exactly the inline path's.
+decompress-mode fleet throughput scales with cores.  Only where the
+decode runs changes: every mode shares one ingest sequence and with it
+every contract (ACK after commit, journaling, quarantine, dedupe).
 
 The pipelined transport (protocol v2.2, ``DbgcClient(window=W)``)
 overlaps send, decode, and commit *within* a stream: a selective-repeat
 sliding window keeps up to ``W`` unACKed frames in flight with
-out-of-order ACK matching and AIMD adaptation on BUSY hints, while a
-windowed decompress server submits decodes as frames arrive and a
-per-connection drainer commits and ACKs them in arrival order.
+out-of-order ACK matching and AIMD adaptation on BUSY hints, while the
+server hands frames on as they arrive and a per-connection drainer
+commits and ACKs them in arrival order.
 ``window=1`` reduces exactly to the classic stop-and-wait behaviour.
 """
 

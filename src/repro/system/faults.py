@@ -99,7 +99,8 @@ class ServerKillSwitch:
 
     The channel faults above model a lossy *link*; this models a dying
     *endpoint*.  :meth:`arm` starts a watcher thread that polls the
-    server's receipt count and calls
+    server's stored-frame count (its receipts, evicted ones included)
+    and calls
     :meth:`~repro.system.server.DbgcServer.kill` — the SIGKILL-equivalent
     stop — the moment it reaches ``kill_after_frames``, then invokes
     ``on_kill`` (the restart hook).  The kill point is deterministic in
@@ -127,7 +128,7 @@ class ServerKillSwitch:
         def watch() -> None:
             while not self._cancel.is_set():
                 with server.lock:
-                    stored = len(server.receipts)
+                    stored = len(server.receipts) + server.receipts_evicted
                 if stored >= self.kill_after_frames:
                     server.kill()
                     self.fired.set()

@@ -5,8 +5,22 @@ Frames arrive over TCP as protocol-v2 records (see
 sequence and stores the cloud, or bypasses decompression and stores the
 payload directly (both modes appear in the paper's Figure 2).
 
-Unlike the v1 prototype (one connection, thread dies on the first bad
-byte), this server is built for a lossy uplink *and* a fleet of sensors:
+Every FRAME record takes one path, whatever the mode:
+
+1. the connection's handler thread checks the CRCs and reserves the
+   frame index in its stream's dedupe set — a retransmission of a frame
+   already stored or still in flight is answered DUPLICATE right there;
+2. it hands the frame to the connection's completion drainer as a
+   future: already resolved and carrying no cloud in ``store`` mode,
+   resolved by a decode on the handler thread with ``decode_workers=0``,
+   or pending on a decoder worker process;
+3. the drainer commits, journals and ACKs the frames in arrival order.
+   A payload that fails to decode or store is *quarantined* — recorded
+   with its bytes and exception, its reservation released — and serving
+   continues.
+
+Around that path, the server is built for a lossy uplink *and* a fleet
+of sensors:
 
 - the accept loop hands every connection to its own handler thread
   (bounded by ``max_clients``), so N clients stream concurrently and a
@@ -15,20 +29,14 @@ byte), this server is built for a lossy uplink *and* a fleet of sensors:
   by the stream id each connection announces in its HELLO record, so a
   reconnecting client resumes *its* stream and two clients can never
   poison each other's dedupe or ACK accounting;
-- a corrupt or undecodable payload is *quarantined* — recorded with its
-  bytes and exception — and serving continues;
-- in ``decompress`` mode each stream decodes through its own stateful
-  :class:`~repro.core.temporal.TemporalDecoder`, so temporal streams
-  (format v3 delta frames between keyframes) decode transparently and
-  two streams' predictor states can never mix; a delta frame whose
-  predictor is missing or mismatched (e.g. the server restarted and
-  lost the in-memory state, or its predecessor was quarantined) raises
-  and is quarantined like any undecodable payload — the stream heals at
-  its next keyframe, which re-seeds the predictor;
-- retransmitted frames are deduplicated per stream, making client
-  retries idempotent;
-- every frame is acknowledged, so the client can detect loss;
-- an END record closes *that client's session* (acknowledged at
+- temporal streams (format v3 delta frames between keyframes) decode
+  through one stateful :class:`~repro.core.temporal.TemporalDecoder` per
+  decode chain, so two streams' predictor states can never mix; a delta
+  frame whose predictor is missing (e.g. the server restarted, or its
+  predecessor was quarantined) fails and is quarantined like any
+  undecodable payload — the stream heals at its next keyframe;
+- an END record closes *that client's session* once its drainer has
+  settled every earlier frame (acknowledged at
   :data:`~repro.system.protocol.END_ACK_INDEX`); the accept loop keeps
   running until the driver calls :meth:`DbgcServer.close`.
 """
@@ -40,6 +48,7 @@ import socket
 import threading
 import time
 import zlib
+from collections import deque
 from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -81,36 +90,44 @@ __all__ = [
 #: Smoothing factor of the store-write latency EWMA behind busy hints.
 _STORE_EWMA_ALPHA = 0.2
 
-#: Per-stream decode-pipeline cap used when a (pre-v2.2) client's HELLO
-#: advertised no window: above this many uncommitted frames the stream's
-#: ACKs carry the BUSY congestion hint.
+#: Per-stream cap used when a client's HELLO advertised no window (a
+#: pre-v2.2 client, or no HELLO at all): above this many frames handed to
+#: the drainer but not yet settled, the stream's ACKs carry the BUSY hint.
 _DEFAULT_STREAM_INFLIGHT = 4
+
+#: Frames one connection may queue for its drainer before the handler
+#: stops reading.  Above any window a HELLO can advertise (255), so only
+#: a client that ignores its window waits here, and TCP pushes back on
+#: it instead of the server buffering its payloads without bound.
+_MAX_HANDOFF = 256
 
 
 class RemoteDecodeError(ValueError):
-    """A decode failure surfaced from a decoder worker process.
+    """A decode failure surfaced from :func:`_decode_frame`.
 
-    Carries the worker-side exception's ``repr`` as its sole argument
-    and *is* that repr, so a quarantine record written through the
-    offload path is byte-identical to the inline path's.
+    Carries the decoder's exception ``repr`` as its sole argument and
+    *is* that repr, so a quarantine record reads the same whether the
+    frame decoded on a worker process or on the handler thread.
     """
 
     def __repr__(self) -> str:
         return self.args[0]
 
 
-# -- decode workers (run in decoder worker processes) ------------------
+# -- decode chains -----------------------------------------------------
 #
-# Module-level worker state, seeded by the pool initializer: each worker
-# process owns the stateful TemporalDecoder of every *decode chain*
-# pinned to its slot.  A chain is one keyframe and the delta frames that
-# follow it — the temporal context resets at every keyframe, so chains
-# are self-contained.  Sticky routing (StickyWorkerPool) keys work by
-# ``(stream_id, chain_no)``: within a chain, frames land on one worker
-# in arrival order (the delta-ordering contract), while *different*
-# chains of the same stream spread least-loaded across workers — which
-# is what lets a single stream's decode throughput scale with
-# ``decode_workers`` once the client pipelines (window > 1).
+# A *decode chain* is one keyframe and the delta frames that follow it —
+# the temporal context resets at every keyframe, so chains are
+# self-contained — and decodes on one stateful TemporalDecoder in
+# arrival order.  With a decode pool, sticky routing (StickyWorkerPool)
+# keys work by ``(stream_id, chain_no)``, and each worker process keeps
+# its chains' decoders in ``_WORKER_DECODERS`` (seeded by the pool
+# initializer): within a chain, frames land on one worker in arrival
+# order (the delta-ordering contract), while *different* chains of the
+# same stream spread least-loaded across workers — which is what lets a
+# single stream's decode throughput scale with ``decode_workers`` once
+# the client pipelines (window > 1).  An inline decode runs the same
+# function on the handler thread against its server's own decoder map.
 
 _WORKER_DECODERS: dict[int | str, tuple[int, TemporalDecoder]] = {}
 
@@ -120,22 +137,30 @@ def _init_decode_worker() -> None:
 
 
 def _decode_frame(
-    stream_id: int | str, chain_no: int, fresh: bool, payload: bytes
+    stream_id: int | str,
+    chain_no: int,
+    fresh: bool,
+    payload: bytes,
+    decoders: dict[int | str, tuple[int, TemporalDecoder]] | None = None,
 ) -> tuple:
-    """Decode one frame on its chain's worker; never raises.
+    """Decode one frame on its chain's decoder; never raises.
 
-    ``fresh`` marks the chain's first frame: the worker starts a new
-    :class:`TemporalDecoder` for it (bounded state: one live decoder per
-    stream per worker, the previous chain's is dropped).  Returns
+    ``decoders`` holds the chain state: the worker process's
+    ``_WORKER_DECODERS`` by default, or the inline-decoding server's own
+    map.  ``fresh`` marks the chain's first frame: a new
+    :class:`TemporalDecoder` starts for it (bounded state: one live
+    decoder per stream, the previous chain's is dropped).  Returns
     ``("ok", meta, buffers)`` — a :func:`~repro.system.pool.pack_array`
     split of the decoded ``xyz``, shipped out-of-band so the parent
     rebuilds the cloud without copying — or ``("err", repr)`` on
     failure, keeping unpicklable exceptions from wedging the pool.
     """
-    entry = _WORKER_DECODERS.get(stream_id)
+    if decoders is None:
+        decoders = _WORKER_DECODERS
+    entry = decoders.get(stream_id)
     if fresh or entry is None or entry[0] != chain_no:
         decoder = TemporalDecoder()
-        _WORKER_DECODERS[stream_id] = (chain_no, decoder)
+        decoders[stream_id] = (chain_no, decoder)
     else:
         decoder = entry[1]
     try:
@@ -144,6 +169,22 @@ def _decode_frame(
         return ("err", repr(exc))
     meta, buffers = pack_array(cloud.xyz)
     return ("ok", meta, buffers)
+
+
+def _resolved(result: tuple | None) -> Future:
+    """A future already holding ``result`` (store mode, inline decode)."""
+    future: Future = Future()
+    future.set_result(result)
+    return future
+
+
+def _shutdown(conn: socket.socket, how: int = socket.SHUT_RDWR) -> None:
+    """Shut ``conn`` down, waking any thread blocked reading it."""
+    # close() alone does not unblock a recv() parked on another thread.
+    try:
+        conn.shutdown(how)
+    except OSError:
+        pass
 
 
 @dataclass(frozen=True)
@@ -167,12 +208,13 @@ class QuarantinedFrame:
 
 @dataclass
 class _PendingFrame:
-    """One frame riding the per-connection decode pipeline (v2.2).
+    """One frame handed from a connection's handler to its drainer.
 
-    Created by the handler thread the moment a frame is CRC-validated,
-    dedupe-reserved, and submitted to the decode pool; consumed by the
-    connection's completion drainer, which commits, journals, and ACKs
-    in submission order.
+    Created by the handler thread once the frame is CRC-validated and
+    dedupe-reserved, with ``future`` resolving to the decode result
+    (``None`` in ``store`` mode); consumed by the connection's
+    completion drainer, which commits, journals, and ACKs in arrival
+    order.
     """
 
     stream: "StreamState"
@@ -196,40 +238,36 @@ class StreamState:
         "ack_counts",
         "receipts",
         "ended",
-        "decoder",
         "decode_lock",
         "window",
         "chain_no",
         "pending",
     )
 
-    def __init__(self, stream_id: int | str) -> None:
+    def __init__(self, stream_id: int | str, max_receipts: int | None = None) -> None:
         self.stream_id = stream_id
         #: Frame indices stored (or reserved mid-store) — the dedupe set.
         self.seen: set[int] = set()
         #: ACKs issued per index; feeds the fault channel's drop plan.
         self.ack_counts: dict[int, int] = {}
-        #: This stream's slice of the server-wide receipts.
-        self.receipts: list[tuple[int, int, float, float]] = []
+        #: This stream's slice of the server-wide receipts (oldest evicted
+        #: past ``max_receipts``).
+        self.receipts: deque[tuple[int, int, float, float]] = deque(maxlen=max_receipts)
         #: True once the stream's END record arrived.
         self.ended = False
         #: Sliding window the client advertised in HELLO flags (v2.2);
         #: 0 = unknown (pre-v2.2 client).
         self.window = 0
-        #: Decode-chain counter (pipelined offload routing): bumped at
-        #: every keyframe; -1 until the stream's first frame arrives.
+        #: Decode-chain counter: bumped at every keyframe; -1 until the
+        #: stream's first frame arrives.  In-memory only — a restarted
+        #: server starts blank, so delta frames are quarantined until the
+        #: stream's next keyframe starts a chain.
         self.chain_no = -1
-        #: Frames submitted to the decode pipeline but not yet committed
-        #: (feeds the per-stream BUSY congestion hint).
+        #: Frames handed to a drainer but not yet settled (feeds the
+        #: per-stream BUSY congestion hint).
         self.pending = 0
-        #: Stateful per-stream decoder (decompress mode): carries the
-        #: temporal predictor between this stream's frames.  In-memory
-        #: only — a restarted server starts blank, so delta frames are
-        #: quarantined until the stream's next keyframe re-seeds it.
-        self.decoder = TemporalDecoder()
-        #: Serializes decodes of this stream: the decoder's predictor
-        #: state makes decode order-sensitive, so a reconnect racing the
-        #: old connection must not interleave.
+        #: Keeps chain assignment and decode hand-off of this stream in
+        #: arrival order, even when a reconnect races the old connection.
         self.decode_lock = threading.Lock()
 
 
@@ -288,21 +326,20 @@ class DbgcServer:
         default (4096) is far above any one batch a client reconciles
         with ``merge_receipts``.
     decode_workers:
-        Size of the decode offload tier (``decompress`` mode only;
-        rejected in ``store`` mode).  0 (default) decodes inline on the
-        handler thread.  N >= 1 fans decoding out to N decoder worker
-        *processes* behind a :class:`~repro.system.pool.
-        StickyWorkerPool`: the handler thread CRC-validates, dedupes,
-        and submits decodes *as frames arrive* (v2.2 pipelined ingest),
-        keyed by decode chain — a keyframe and its following deltas pin
-        to one worker's stateful :class:`~repro.core.temporal.
-        TemporalDecoder` in arrival order, while successive chains
-        spread least-loaded across workers; a per-connection completion
-        drainer then commits each decoded cloud to the store, journals,
-        and ACKs in submission order — so every ordering contract (ACK
-        after commit, journal between commit and ACK, quarantine with
-        the ``seen`` reservation released) is identical to the inline
-        path, and store contents are byte-identical.
+        Where ``decompress`` mode decodes (rejected in ``store`` mode).
+        0 (default) decodes on the handler thread.  N >= 1 fans decoding
+        out to N decoder worker *processes* behind a
+        :class:`~repro.system.pool.StickyWorkerPool`, keyed by decode
+        chain — a keyframe and its following deltas pin to one worker's
+        stateful :class:`~repro.core.temporal.TemporalDecoder` in
+        arrival order, while successive chains spread least-loaded
+        across workers.  Only where the decode runs changes: either way
+        the handler thread validates and reserves each frame as it
+        arrives and the connection's completion drainer commits,
+        journals and ACKs in arrival order (see the module docstring),
+        so every ordering contract (ACK after commit, journal between
+        commit and ACK, quarantine with the ``seen`` reservation
+        released) holds and store contents are byte-identical.
 
     Thread-safety: handler threads append to :attr:`receipts`,
     :attr:`quarantine`, and :attr:`events` while the driver may read
@@ -385,11 +422,12 @@ class DbgcServer:
         self.quarantine_evicted = 0
         #: Receipts evicted by the ``max_receipts`` bound.
         self.receipts_evicted = 0
-        #: (frame_index, payload_bytes, received_at, stored_at) per stored frame.
-        self.receipts: list[tuple[int, int, float, float]] = []
+        #: (frame_index, payload_bytes, received_at, stored_at) per stored
+        #: frame (bounded by ``max_receipts``, oldest evicted first).
+        self.receipts: deque[tuple[int, int, float, float]] = deque(maxlen=self.max_receipts)
         #: Payloads rejected with their exception text and bytes (bounded
         #: by ``max_quarantine``, oldest evicted first).
-        self.quarantine: list[QuarantinedFrame] = []
+        self.quarantine: deque[QuarantinedFrame] = deque(maxlen=self.max_quarantine)
         #: Connection-level happenings: ("accept"|"hello"|"disconnect"|
         #: "duplicate"|"resync"|"end"|"recover", detail) in serve order.
         self.events: list[tuple[str, str]] = []
@@ -402,7 +440,7 @@ class DbgcServer:
             if isinstance(receipt_journal, (str, Path)):
                 # Batched appends keep the journal's write(2) off the ACK
                 # hot path (one syscall per 16 receipts).  The widened
-                # kill-loss window is safe here — see _ingest.
+                # kill-loss window is safe here — see _commit.
                 self.journal = ReceiptJournal(
                     receipt_journal, batch=16, rotate_bytes=journal_rotate_bytes
                 )
@@ -421,6 +459,10 @@ class DbgcServer:
                 initializer=_init_decode_worker,
                 max_in_flight=4 * self.decode_workers,
             )
+        #: Decode-chain state of inline decode (decode_workers=0), keyed
+        #: by stream: owned by this server, so two servers in one process
+        #: never share a decoder.
+        self._decoders: dict[int | str, tuple[int, TemporalDecoder]] = {}
 
     def _recover_streams(self) -> None:
         """Rebuild per-stream dedupe/END state from the receipt journal.
@@ -433,11 +475,11 @@ class DbgcServer:
         replay = self.journal.replay()
         recovered_frames = 0
         for stream_id, seen in replay.seen_by_stream().items():
-            state = self._streams.setdefault(stream_id, StreamState(stream_id))
+            state = self._stream(stream_id)
             state.seen.update(seen)
             recovered_frames += len(seen)
         for stream_id in replay.ended:
-            state = self._streams.setdefault(stream_id, StreamState(stream_id))
+            state = self._stream(stream_id)
             if not state.ended:
                 state.ended = True
                 self._ends_seen += 1
@@ -525,20 +567,26 @@ class DbgcServer:
                     target=self._client_thread, args=(conn, number), daemon=True
                 ).start()
         except BaseException as exc:  # pragma: no cover - surfaced via join()
-            with self._cond:
-                self._error = exc
-                self._cond.notify_all()
+            self._fail(exc)
         finally:
             self._listener.close()
+
+    def _fail(self, exc: BaseException) -> None:
+        """Record the first fatal error; :meth:`wait_for_streams` raises it."""
+        with self._cond:
+            if self._error is None:
+                self._error = exc
+            self._cond.notify_all()
 
     def _client_thread(self, conn: socket.socket, number: int) -> None:
         try:
             self._handle_connection(conn, number)
         except BaseException as exc:  # pragma: no cover - surfaced via join()
-            with self._cond:
-                if self._error is None:
-                    self._error = exc
+            self._fail(exc)
         finally:
+            # Shut down before closing: forked decode workers may hold a
+            # copy of the socket, and close() alone would not hang up.
+            _shutdown(conn)
             conn.close()
             with self._cond:
                 self._conns.discard(conn)
@@ -553,7 +601,7 @@ class DbgcServer:
         with self.lock:
             state = self._streams.get(stream_id)
             if state is None:
-                state = self._streams[stream_id] = StreamState(stream_id)
+                state = self._streams[stream_id] = StreamState(stream_id, self.max_receipts)
         return state
 
     def stream_state(self, stream_id: int | str) -> StreamState | None:
@@ -570,41 +618,29 @@ class DbgcServer:
     def _handle_connection(self, conn: socket.socket, number: int) -> None:
         """Serve one connection until its stream ends or the link drops.
 
-        With a decode pool (v2.2 pipelined ingest), the handler thread
-        no longer blocks per frame: it CRC-validates, dedupe-reserves,
-        and *submits* each decode, while a per-connection completion
-        drainer thread commits/journals/ACKs in submission order.  A
-        shared send lock serializes the drainer's frame ACKs with the
-        handler's own DUPLICATE / CRC-quarantine ACKs on the one socket.
+        The handler thread validates, reserves and hands on each frame
+        (:meth:`_ingest`) without waiting for it; the connection's
+        completion drainer (:meth:`_drain`) commits, journals and ACKs in
+        arrival order.  A shared send lock serializes the drainer's frame
+        ACKs with the handler's own DUPLICATE / CRC-quarantine ACKs on the
+        one socket.
         """
         stream: StreamState | None = None
         send_lock = threading.Lock()
-        pipeline: queue.Queue | None = None
-        drainer: threading.Thread | None = None
+        pipeline: queue.Queue = queue.Queue(maxsize=_MAX_HANDOFF)
+        drainer = threading.Thread(
+            target=self._drain, args=(conn, send_lock, pipeline), daemon=True
+        )
+        drainer.start()
 
-        def ensure_pipeline() -> queue.Queue:
-            nonlocal pipeline, drainer
-            if pipeline is None:
-                pipeline = queue.Queue()
-                drainer = threading.Thread(
-                    target=self._drain_pipeline,
-                    args=(conn, send_lock, pipeline),
-                    daemon=True,
-                )
-                drainer.start()
-            return pipeline
-
-        def stop_pipeline() -> None:
-            # Drain every submitted frame (commit + ACK), then park the
+        def settle_all() -> None:
+            # Settle every frame handed over so far, then park the
             # drainer.  Called before the END ACK so end-of-stream is
             # still the last thing the client hears, and on any exit so
             # no pending commit is orphaned by a disconnect.
-            nonlocal pipeline, drainer
-            if pipeline is not None:
+            if drainer.is_alive():
                 pipeline.put(None)
                 drainer.join()
-                pipeline = None
-                drainer = None
 
         try:
             while not self._stop.is_set():
@@ -617,7 +653,7 @@ class DbgcServer:
                     self._quarantine(
                         stream, exc.frame_index, exc.payload, exc, received_at
                     )
-                    self._ack(conn, stream, exc.frame_index, ACK_QUARANTINED, send_lock)
+                    self._ack(conn, send_lock, stream, exc.frame_index, ACK_QUARANTINED)
                     continue
                 except (ConnectionError, TimeoutError, ProtocolError, OSError) as exc:
                     self._note("disconnect", repr(exc))
@@ -644,7 +680,7 @@ class DbgcServer:
                     # scoped to this connection (no dedupe across reconnects).
                     stream = self._stream(f"conn-{number}")
                 if record.type == TYPE_END:
-                    stop_pipeline()
+                    settle_all()
                     first_end = False
                     with self._cond:
                         if not stream.ended:
@@ -660,85 +696,18 @@ class DbgcServer:
                         # append only means the client re-ENDs after a
                         # restart, which is idempotent.
                         self.journal.append_end(stream.stream_id)
-                    self._ack(conn, stream, END_ACK_INDEX, ACK_STORED, send_lock)
+                    self._ack(conn, send_lock, stream, END_ACK_INDEX, ACK_STORED)
                     return
                 if record.type == TYPE_FRAME:
-                    if self._decode_pool is not None and self.mode == "decompress":
-                        self._ingest_pipelined(
-                            conn, send_lock, ensure_pipeline(), stream,
-                            record.frame_index, record.payload, record.payload_crc,
-                        )
-                    else:
-                        self._ingest(
-                            conn, stream, record.frame_index, record.payload,
-                            record.payload_crc, send_lock,
-                        )
+                    self._ingest(
+                        conn, send_lock, pipeline, stream,
+                        record.frame_index, record.payload, record.payload_crc,
+                    )
                 # Anything else (stray ACK echoes) is ignored.
         finally:
-            stop_pipeline()
-
-    def _reserve(
-        self,
-        conn: socket.socket,
-        stream: StreamState,
-        frame_index: int,
-        payload: bytes,
-        send_lock: threading.Lock | None,
-    ) -> bool:
-        """Dedupe-reserve one arriving frame; False = duplicate (ACKed).
-
-        The index is reserved before the store write (or decode submit)
-        so a concurrent retransmission — on another connection *or*
-        arriving behind it in this connection's pipeline — dedupes
-        against it.
-        """
-        _obs.count("server.ingress")
-        _obs.add_bytes("server.ingress", len(payload))
-        with self.lock:
-            if frame_index not in stream.seen:
-                stream.seen.add(frame_index)
-                return True
-        # Retransmission of a frame that already made it: idempotent.
-        self._note("duplicate", f"frame {frame_index}")
-        _obs.count("server.duplicates")
-        self._ack(conn, stream, frame_index, ACK_DUPLICATE, send_lock)
-        return False
+            settle_all()
 
     def _ingest(
-        self,
-        conn: socket.socket,
-        stream: StreamState,
-        frame_index: int,
-        payload: bytes,
-        payload_crc: int | None = None,
-        send_lock: threading.Lock | None = None,
-    ) -> None:
-        """Serial (store-mode or inline-decode) ingest: one frame, blocking."""
-        received_at = time.perf_counter()
-        if not self._reserve(conn, stream, frame_index, payload, send_lock):
-            return
-        cloud: PointCloud | None = None
-        if self.mode == "decompress":
-            decode_started = time.perf_counter()
-            try:
-                with stream.decode_lock:
-                    cloud = stream.decoder.decode(payload)
-            except Exception as exc:
-                # Undecodable despite an intact CRC: quarantine, keep
-                # serving — and release the dedupe reservation so a
-                # later (possibly healthy) retransmission is re-tried.
-                with self.lock:
-                    stream.seen.discard(frame_index)
-                self._quarantine(stream, frame_index, payload, exc, received_at)
-                self._ack(conn, stream, frame_index, ACK_QUARANTINED, send_lock)
-                return
-            _obs.observe("server.decode_s", time.perf_counter() - decode_started)
-        self._commit(
-            conn, stream, frame_index, payload, payload_crc, received_at, cloud,
-            send_lock,
-        )
-
-    def _ingest_pipelined(
         self,
         conn: socket.socket,
         send_lock: threading.Lock,
@@ -748,45 +717,63 @@ class DbgcServer:
         payload: bytes,
         payload_crc: int | None,
     ) -> None:
-        """Pipelined (decode-pool) ingest: validate, reserve, submit — no wait.
+        """Reserve one frame and hand it to the drainer as a future — no wait.
 
-        Decode routing is by *chain*: every keyframe (intra container)
-        starts a new ``(stream_id, chain_no)`` key, routed least-loaded,
-        while delta frames (container v3) stay on the current chain's
-        worker — so one pipelining client saturates many decode workers
-        without ever decoding a delta out of order.  A payload that
-        doesn't sniff as any container stays on the current chain too:
-        it will fail decode *there*, leaving that chain's decoder state
-        exactly as the inline path would.
+        The index is reserved in ``seen`` before the frame is decoded or
+        stored, so a retransmission — on another connection *or*
+        arriving behind it in this connection's pipeline — is answered
+        DUPLICATE here.  ``store`` mode hands over a resolved future that
+        carries no cloud.  In ``decompress`` mode the frame joins a
+        decode chain: every keyframe (intra container) starts a new
+        ``(stream_id, chain_no)`` chain, while delta frames (container
+        v3) stay on the current one.  A payload that doesn't sniff as any
+        container stays on the current chain too: it will fail decode
+        *there*, leaving that chain's decoder state as it was.  With a
+        decode pool the chain is the routing key — one pipelining client
+        saturates many workers without ever decoding a delta out of
+        order; with ``decode_workers=0`` the handler thread decodes the
+        frame itself.
         """
-        received_at = time.perf_counter()
-        if not self._reserve(conn, stream, frame_index, payload, send_lock):
+        received_at = submitted_at = time.perf_counter()
+        _obs.count("server.ingress")
+        _obs.add_bytes("server.ingress", len(payload))
+        with self.lock:
+            duplicate = frame_index in stream.seen
+            stream.seen.add(frame_index)
+        if duplicate:
+            # Retransmission of a frame that already made it: idempotent.
+            self._note("duplicate", f"frame {frame_index}")
+            _obs.count("server.duplicates")
+            self._ack(conn, send_lock, stream, frame_index, ACK_DUPLICATE)
             return
         pool = self._decode_pool
-        assert pool is not None
-        # Submit under the stream's decode lock: the sticky slot's queue
-        # is FIFO, so "submitted in arrival order" becomes "decoded in
-        # arrival order" even when a reconnect races the old
-        # connection's handler.
-        with stream.decode_lock:
-            try:
-                delta = container_version(payload) == 3
-            except Exception:
-                delta = True  # undecodable: keep it inside the current chain
-            fresh = (not delta) or stream.chain_no < 0
-            if fresh:
-                stream.chain_no += 1
-            chain = (stream.stream_id, stream.chain_no)
-            depth = pool.depth()
-            submitted_at = time.perf_counter()
-            future = pool.submit(
-                _decode_frame, stream.stream_id, stream.chain_no, fresh, payload,
-                key=chain,
-            )
+        if self.mode == "store":
+            future = _resolved(None)
+        else:
+            # Under the stream's decode lock: the sticky slot's queue is
+            # FIFO, so "submitted in arrival order" becomes "decoded in
+            # arrival order" even when a reconnect races the old
+            # connection's handler.
+            with stream.decode_lock:
+                try:
+                    delta = container_version(payload) == 3
+                except Exception:
+                    delta = True  # undecodable: keep it inside the current chain
+                fresh = (not delta) or stream.chain_no < 0
+                if fresh:
+                    stream.chain_no += 1
+                chain = (stream.stream_id, stream.chain_no)
+                submitted_at = time.perf_counter()
+                if pool is None:
+                    future = _resolved(_decode_frame(*chain, fresh, payload, self._decoders))
+                else:
+                    depth = pool.depth()
+                    future = pool.submit(_decode_frame, *chain, fresh, payload, key=chain)
+            if pool is not None:
+                _obs.observe("server.decode.queue_depth", depth)
+                _obs.count(f"server.decode.worker.{pool.slot_for(chain)}")
         with self.lock:
             stream.pending += 1
-        _obs.observe("server.decode.queue_depth", depth)
-        _obs.count(f"server.decode.worker.{pool.slot_for(chain)}")
         pipeline.put(
             _PendingFrame(
                 stream, frame_index, payload, payload_crc, received_at,
@@ -794,108 +781,85 @@ class DbgcServer:
             )
         )
 
-    def _drain_pipeline(
+    def _drain(
         self, conn: socket.socket, send_lock: threading.Lock, pipeline: queue.Queue
     ) -> None:
-        """Per-connection completion drainer: commit/journal/ACK in order.
+        """Per-connection completion drainer: settle frames in arrival order.
 
         Runs on its own thread; consumes :class:`_PendingFrame` entries
-        in submission order (per chain that equals decode-completion
-        order — the sticky slots are FIFO) until the ``None`` sentinel.
+        in arrival order (per chain that equals decode-completion order —
+        the sticky slots are FIFO) until the ``None`` sentinel.  An
+        exception escaping a commit (a failing journal, a broken decode
+        pool) is fatal to the connection: it is recorded for
+        :meth:`wait_for_streams`, and that frame and every frame queued
+        behind it are released unACKed — reservation and pending count —
+        so the client's retransmissions of them store instead of being
+        answered DUPLICATE.  (A frame that failed after its store write
+        is re-written idempotently: same index, same payload.)
         """
+        failed = False
         while True:
             entry = pipeline.get()
             if entry is None:
                 return
-            _obs.observe("server.ack_queue_depth", pipeline.qsize())
-            try:
-                self._commit_decoded(conn, send_lock, entry)
-            finally:
-                with self.lock:
-                    entry.stream.pending -= 1
+            if not failed:
+                _obs.observe("server.ack_queue_depth", pipeline.qsize())
+                try:
+                    self._commit(conn, send_lock, entry)
+                except Exception as exc:
+                    failed = True
+                    self._fail(exc)
+                    # End the handler's reads only: the client hears the
+                    # hang-up when the handler closes the socket, after
+                    # every frame it handed over has been released here.
+                    _shutdown(conn, socket.SHUT_RD)
+            with self.lock:
+                if failed:
+                    entry.stream.seen.discard(entry.frame_index)
+                entry.stream.pending -= 1
 
-    def _commit_decoded(
+    def _commit(
         self, conn: socket.socket, send_lock: threading.Lock, entry: _PendingFrame
     ) -> None:
-        """Settle one pipelined frame once its decode future resolves."""
-        stream, frame_index = entry.stream, entry.frame_index
+        """Store-commit, receipt, journal, ACK — in exactly that order.
+
+        Waits for the frame's future first.  A frame that failed to
+        decode, or that the store refused, is quarantined instead.
+        """
+        stream, frame_index, payload = entry.stream, entry.frame_index, entry.payload
         try:
             result = entry.future.result()
         except CancelledError:
             # kill() cancelled the queued work mid-flight; surface it
             # through the ordinary quarantine path (the ACK goes to a
             # torn-down socket and is swallowed there).
-            result = None
-        if result is None or result[0] != "ok":
-            exc: Exception = (
-                RemoteDecodeError("decode cancelled by server shutdown")
-                if result is None
-                else RemoteDecodeError(result[1])
-            )
-            with self.lock:
-                stream.seen.discard(frame_index)
-            self._quarantine(stream, frame_index, entry.payload, exc, entry.received_at)
-            self._ack(conn, stream, frame_index, ACK_QUARANTINED, send_lock)
-            return
-        _obs.observe("server.decode_s", time.perf_counter() - entry.submitted_at)
-        cloud = PointCloud._adopt(unpack_array(result[1], result[2]))
-        self._commit(
-            conn, stream, frame_index, entry.payload, entry.payload_crc,
-            entry.received_at, cloud, send_lock,
-        )
-
-    def _commit(
-        self,
-        conn: socket.socket,
-        stream: StreamState,
-        frame_index: int,
-        payload: bytes,
-        payload_crc: int | None,
-        received_at: float,
-        cloud: PointCloud | None,
-        send_lock: threading.Lock | None,
-    ) -> None:
-        """Store-commit, receipt, journal, ACK — in exactly that order."""
-        with self.lock:
-            self._writes_in_flight += 1
-        write_started = time.perf_counter()
+            result = ("err", "decode cancelled by server shutdown")
         try:
-            if cloud is not None:
-                self.store.put_cloud(frame_index, cloud)
-            else:
-                self.store.put_payload(frame_index, payload)
+            cloud = None
+            if result is not None:
+                if result[0] != "ok":
+                    raise RemoteDecodeError(result[1])
+                _obs.observe("server.decode_s", time.perf_counter() - entry.submitted_at)
+                cloud = PointCloud._adopt(unpack_array(result[1], result[2]))
+            self._write(frame_index, payload, cloud)
         except Exception as exc:
-            # Store refused the frame: quarantine, keep serving.
+            # Undecodable despite an intact CRC, or refused by the store:
+            # quarantine, keep serving — and release the dedupe
+            # reservation so a later (possibly healthy) retransmission is
+            # re-tried.
             with self.lock:
                 stream.seen.discard(frame_index)
-            self._quarantine(stream, frame_index, payload, exc, received_at)
-            self._ack(conn, stream, frame_index, ACK_QUARANTINED, send_lock)
+            self._quarantine(stream, frame_index, payload, exc, entry.received_at)
+            self._ack(conn, send_lock, stream, frame_index, ACK_QUARANTINED)
             return
-        finally:
-            elapsed = time.perf_counter() - write_started
-            with self.lock:
-                self._writes_in_flight -= 1
-                self._store_ewma_s = (
-                    elapsed
-                    if self._store_ewma_s == 0.0
-                    else (1.0 - _STORE_EWMA_ALPHA) * self._store_ewma_s
-                    + _STORE_EWMA_ALPHA * elapsed
-                )
-            _obs.observe("server.store_write_s", elapsed)
-        receipt = (frame_index, len(payload), received_at, time.perf_counter())
-        evicted = 0
+        receipt = (frame_index, len(payload), entry.received_at, time.perf_counter())
         with self.lock:
-            stream.receipts.append(receipt)
+            evicted = len(self.receipts) == self.receipts.maxlen
             self.receipts.append(receipt)
-            if self.max_receipts is not None:
-                while len(self.receipts) > self.max_receipts:
-                    self.receipts.pop(0)
-                    evicted += 1
-                while len(stream.receipts) > self.max_receipts:
-                    stream.receipts.pop(0)
-                self.receipts_evicted += evicted
+            stream.receipts.append(receipt)
+            self.receipts_evicted += evicted
         if evicted:
-            _obs.count("server.receipts.evicted", evicted)
+            _obs.count("server.receipts.evicted")
         _obs.count("server.stored")
         if self.journal is not None:
             # Journal between the store commit and the ACK — textbook
@@ -909,10 +873,33 @@ class DbgcServer:
             # client can observe — a retransmission of such a frame is
             # re-committed idempotently (same index, same payload)
             # instead of being answered DUPLICATE.
+            payload_crc = entry.payload_crc
             if payload_crc is None:
                 payload_crc = zlib.crc32(payload)
             self.journal.append_frame(stream.stream_id, frame_index, payload_crc)
-        self._ack(conn, stream, frame_index, ACK_STORED, send_lock)
+        self._ack(conn, send_lock, stream, frame_index, ACK_STORED)
+
+    def _write(self, frame_index: int, payload: bytes, cloud: PointCloud | None) -> None:
+        """One store write (the cloud, else the payload), timed for the BUSY hint."""
+        with self.lock:
+            self._writes_in_flight += 1
+        write_started = time.perf_counter()
+        try:
+            if cloud is not None:
+                self.store.put_cloud(frame_index, cloud)
+            else:
+                self.store.put_payload(frame_index, payload)
+        finally:
+            elapsed = time.perf_counter() - write_started
+            with self.lock:
+                self._writes_in_flight -= 1
+                self._store_ewma_s = (
+                    elapsed
+                    if self._store_ewma_s == 0.0
+                    else (1.0 - _STORE_EWMA_ALPHA) * self._store_ewma_s
+                    + _STORE_EWMA_ALPHA * elapsed
+                )
+            _obs.observe("server.store_write_s", elapsed)
 
     def _quarantine(
         self,
@@ -922,19 +909,16 @@ class DbgcServer:
         exc: BaseException,
         received_at: float,
     ) -> None:
-        evicted = False
         with self.lock:
+            # Bounded forensics: a hostile client spraying garbage cannot
+            # grow server memory without limit (the deque drops the oldest).
+            evicted = len(self.quarantine) == self.max_quarantine
             self.quarantine.append(
                 QuarantinedFrame(
                     frame_index, payload, repr(exc), received_at, stream.stream_id
                 )
             )
-            if len(self.quarantine) > self.max_quarantine:
-                # Bounded forensics: a hostile client spraying garbage
-                # cannot grow server memory without limit.
-                self.quarantine.pop(0)
-                self.quarantine_evicted += 1
-                evicted = True
+            self.quarantine_evicted += evicted
         _obs.count("server.quarantined")
         if evicted:
             _obs.count("server.quarantine.evicted")
@@ -948,18 +932,15 @@ class DbgcServer:
     def _busy_now(self, stream: StreamState | None = None) -> bool:
         """Is the server falling behind?  (Feeds the ACK BUSY hint.)
 
-        Trips on the store-latency EWMA, on ``busy_depth`` store writes
-        in flight, or — with a decode offload tier — on ``busy_depth``
-        frames deep in the decode work queue.  With a pipelined stream
-        (v2.2) it additionally trips when that stream's uncommitted
-        in-flight count exceeds its advertised window — the per-stream
+        Trips when ``stream`` holds more frames handed to its drainer but
+        not yet settled than its advertised window — the per-stream
         congestion signal the client's AIMD halves on — independent of
-        ``busy_threshold_s``.
+        ``busy_threshold_s``.  With ``busy_threshold_s`` set it also
+        trips on the store-latency EWMA, on ``busy_depth`` store writes
+        in flight, or — with a decode pool — on ``busy_depth`` frames
+        deep in the decode work queue.
         """
-        if (
-            stream is not None
-            and self._decode_pool is not None
-        ):
+        if stream is not None:
             cap = stream.window or _DEFAULT_STREAM_INFLIGHT
             with self.lock:
                 if stream.pending > cap:
@@ -983,10 +964,10 @@ class DbgcServer:
     def _ack(
         self,
         conn: socket.socket,
+        send_lock: threading.Lock,
         stream: StreamState,
         frame_index: int,
         status: int,
-        send_lock: threading.Lock | None = None,
     ) -> None:
         channel = self._channel_for(stream.stream_id)
         if channel is not None:
@@ -1003,12 +984,9 @@ class DbgcServer:
             _obs.count("server.busy_hints")
         data = encode_record(TYPE_ACK, frame_index, flags=flags)
         try:
-            # The drainer and the handler share one socket (v2.2): the
-            # send lock keeps their ACK records from interleaving.
-            if send_lock is not None:
-                with send_lock:
-                    conn.sendall(data)
-            else:
+            # The drainer and the handler share one socket: the send lock
+            # keeps their ACK records from interleaving.
+            with send_lock:
                 conn.sendall(data)
         except OSError:
             pass  # client already gone; it will retransmit on reconnect
@@ -1053,7 +1031,7 @@ class DbgcServer:
         method returns immediately, modelling a process kill for the
         restart drill.  In-memory state (dedupe sets, receipts) is
         abandoned; only what reached the store and the receipt journal
-        survives.  A handler thread mid-``put`` may still complete its
+        survives.  A drainer mid-``put`` may still complete its
         (idempotent, index-keyed) store write and journal append after
         this returns — exactly the torn timeline a real crash leaves.
         """
@@ -1063,13 +1041,10 @@ class DbgcServer:
             self._closed = True  # later close() is a no-op
             conns = list(self._conns)
         for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            _shutdown(conn)
             conn.close()
         if self._decode_pool is not None:
-            # No draining: queued decodes are cancelled (their handlers
+            # No draining: queued decodes are cancelled (their drainers
             # quarantine into the dead server object) and the workers are
             # told to exit without being joined — kill() must not block.
             self._decode_pool.shutdown(wait=False, cancel_futures=True)
@@ -1090,10 +1065,7 @@ class DbgcServer:
         with self.lock:
             conns = list(self._conns)
         for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+            _shutdown(conn)
             conn.close()
         if self._thread is not None:
             self._thread.join(5.0)

@@ -265,11 +265,12 @@ def test_decode_observability_counters(temporal_payloads):
 # -- kill-and-restart drill --------------------------------------------------
 
 
-def test_decompress_kill_and_restart_drill(tmp_path, temporal_payloads):
-    """The tier's process-fault bar: kill an offloaded decompress server
-    mid-fleet.  The restarted server's workers have fresh decoder state,
-    so orphaned deltas quarantine until their stream's next keyframe —
-    and everything stored matches the uninterrupted oracle."""
+@pytest.mark.parametrize("decode_workers", [0, 2])
+def test_decompress_kill_and_restart_drill(tmp_path, temporal_payloads, decode_workers):
+    """The tier's process-fault bar: kill a decompress server mid-fleet,
+    decoding inline or offloaded.  The restarted server has fresh decoder
+    state, so orphaned deltas quarantine until their stream's next
+    keyframe — and everything stored matches the uninterrupted oracle."""
     spec = SPEC
     total = spec.n_clients * spec.frames_per_client
     with SqliteFrameStore(tmp_path / "frames.sqlite") as store:
@@ -277,7 +278,7 @@ def test_decompress_kill_and_restart_drill(tmp_path, temporal_payloads):
             spec,
             store,
             mode="decompress",
-            decode_workers=2,
+            decode_workers=decode_workers,
             payloads=temporal_payloads,
             receipt_journal=tmp_path / "receipts.jsonl",
             kill_after_frames=total // 2,
