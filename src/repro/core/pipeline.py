@@ -4,8 +4,16 @@
 density-based clustering (DEN), octree compression of the dense points
 (OCT), coordinate conversion (COR), point organization (ORG), coordinate
 compression of the sparse points (SPA), and outlier compression (OUT).
-:class:`DBGCDecompressor` reverses the three streams and reassembles the
-cloud; the container header makes it self-contained.
+:func:`decode_frame` reverses the three streams and reassembles the cloud;
+the container header makes it self-contained.  :class:`DBGCDecompressor`
+and :class:`~repro.core.temporal.TemporalDecoder` are thin callers of it.
+
+Temporal streams use the same two paths.  Given a predictor — a
+:class:`~repro.core.temporal.TemporalContext` plus the ego delta — the
+compressor also tries delta coding for the dense section and each sparse
+group's radial tail, keeps the smaller coding of each behind a mode byte,
+and packs a format-v3 delta frame; the decoder reads each section by its
+mode byte against the same context.
 
 The decompressed point order is canonical — dense points in octree Morton
 order, then each group's polyline points, then the outliers — and
@@ -15,6 +23,7 @@ permutation, recomputable at compression time without costing stream bits.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,16 +37,24 @@ from repro.core.attributes import (
     encode_attributes,
 )
 from repro.core.clustering import cluster_approx, cluster_exact, split_by_fraction
-from repro.core.container import pack_container, unpack_container
+from repro.core.container import pack_container, pack_container_v3, unpack_container
 from repro.core.grouping import split_into_groups
 from repro.core.outlier import decode_outliers, encode_outliers
 from repro.core.params import DBGCParams
 from repro.core.sparse_codec import decode_sparse_group, encode_sparse_group
+from repro.core.temporal import (
+    MODE_DELTA,
+    MODE_INTRA,
+    TemporalContext,
+    _decode_dense_delta,
+    _encode_dense_delta,
+    dense_payload_origin,
+)
 from repro.datasets.sensors import SensorModel
 from repro.geometry.points import PointCloud
 from repro.octree.codec import OctreeCodec
 
-__all__ = ["CompressionResult", "DBGCCompressor", "DBGCDecompressor"]
+__all__ = ["CompressionResult", "DBGCCompressor", "DBGCDecompressor", "decode_frame"]
 
 # One stage pool per process, shared by every compressor (and, under
 # ParallelFrameCompressor, by every frame a worker process handles), so
@@ -170,19 +187,18 @@ class DBGCCompressor:
         (meters); ``(0, 0, 0)`` disables motion compensation but stays
         correct.
         """
-        from repro.core import temporal
-
         keyframe = (
             not context.has_state
             or context.frames_coded % self.params.keyframe_interval == 0
         )
-        if keyframe:
-            result = self.compress_detailed(cloud, attributes, attribute_steps)
-            temporal.observe_intra(context, result.payload)
-            return result
-        return temporal.compress_delta(
-            self, cloud, context, ego_delta, attributes, attribute_steps
-        )
+        if not keyframe:
+            ego = tuple(float(v) for v in ego_delta)
+            return self._compress(cloud, attributes, attribute_steps, context, ego)
+        result = self.compress_detailed(cloud, attributes, attribute_steps)
+        # The keyframe's decode seeds the predictor, exactly as on the
+        # decoder side.
+        decode_frame(result.payload, context)
+        return result
 
     def compress_detailed(
         self,
@@ -199,10 +215,31 @@ class DBGCCompressor:
         query results either way, so the Figure 13 breakdown and the
         ``--metrics`` report can never disagree.
         """
+        return self._compress(cloud, attributes, attribute_steps)
+
+    def _compress(
+        self,
+        cloud: PointCloud,
+        attributes: dict[str, np.ndarray] | None,
+        attribute_steps: dict[str, float] | float,
+        context: TemporalContext | None = None,
+        ego_delta: tuple[float, float, float] = (0.0, 0.0, 0.0),
+    ) -> CompressionResult:
+        """The frame codec; a ``context`` makes it a v3 delta frame.
+
+        With a ``context`` (holding predictor state) the dense stage and
+        each sparse group also try delta coding against it and keep the
+        smaller coding behind a mode byte, and ``context`` advances to
+        this frame's decoded geometry.
+        """
         params = self.params
         xyz = cloud.xyz
         n = len(xyz)
         sizes: dict[str, int] = {}
+        # The sparse predictor needs spherical coordinates and points.
+        sparse_predictor = None
+        if context is not None and params.spherical_conversion and len(context.prev_sparse):
+            sparse_predictor = (context.prev_sparse, ego_delta)
 
         with obs.ensure_recorder() as recorder, recorder.span("dbgc.compress") as root:
             recorder.count("compress.frames")
@@ -230,18 +267,33 @@ class DBGCCompressor:
             # threads attach to the compress root so the span tree keeps the
             # serial shape, and the payloads are byte-identical either way —
             # only the schedule changes.
-            def encode_dense() -> tuple[bytes, np.ndarray | None]:
+            def encode_dense():
+                """``(section, mapping, predictor points, grid origin)``."""
                 with recorder.span("dbgc.oct"):
                     octree = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
-                    dense_payload = octree.encode(xyz[dense_idx])
-                    octree_mapping = (
-                        octree.mapping(xyz[dense_idx]) if len(dense_idx) else None
+                    dense_xyz = xyz[dense_idx]
+                    dense_payload = octree.encode(dense_xyz)
+                    if context is not None:
+                        delta = _encode_dense_delta(
+                            dense_xyz, params, context, ego_delta, len(dense_payload)
+                        )
+                        if delta is not None:
+                            return (bytes([MODE_DELTA]) + delta[0], *delta[1:])
+                    octree_mapping = octree.mapping(dense_xyz) if len(dense_idx) else None
+                    if context is None:
+                        return dense_payload, octree_mapping, None, None
+                    # Intra wins: the predictor is its decode, as on the
+                    # decoder side.
+                    return (
+                        bytes([MODE_INTRA]) + dense_payload,
+                        octree_mapping,
+                        octree.decode(dense_payload),
+                        dense_payload_origin(dense_payload),
                     )
-                return dense_payload, octree_mapping
 
             def encode_group(group_global: np.ndarray):
                 return encode_sparse_group(
-                    xyz[group_global], params, self.u_theta, self.u_phi
+                    xyz[group_global], params, self.u_theta, self.u_phi, sparse_predictor
                 )
 
             def encode_out(outlier_xyz: np.ndarray) -> tuple[bytes, np.ndarray]:
@@ -263,10 +315,12 @@ class DBGCCompressor:
 
                 dense_future = staged(encode_dense)
                 group_futures = [staged(encode_group, gg) for gg in group_globals]
-                dense_payload, octree_mapping = dense_future.result()
+                dense_payload, octree_mapping, dense_points, dense_origin = (
+                    dense_future.result()
+                )
                 encodings = [future.result() for future in group_futures]
             else:
-                dense_payload, octree_mapping = encode_dense()
+                dense_payload, octree_mapping, dense_points, dense_origin = encode_dense()
                 encodings = [encode_group(gg) for gg in group_globals]
 
             mapping = np.empty(n, dtype=np.int64)
@@ -293,7 +347,11 @@ class DBGCCompressor:
             offset = len(dense_idx)
             n_sparse_coded = 0
             for group_global, encoding in zip(group_globals, encodings):
-                group_payloads.append(encoding.payload)
+                if context is None:
+                    group_payloads.append(encoding.payload)
+                else:
+                    mode = MODE_DELTA if encoding.temporal else MODE_INTRA
+                    group_payloads.append(bytes([mode]) + encoding.payload)
                 for name, size in encoding.stream_sizes.items():
                     sizes[name] = sizes.get(name, 0) + size
                 ordered_global = group_global[encoding.order]
@@ -322,15 +380,30 @@ class DBGCCompressor:
                 sizes["attributes"] = len(attribute_payload)
                 recorder.add_bytes("stream.attributes", len(attribute_payload))
 
-            payload = pack_container(
-                params,
-                self.u_theta,
-                self.u_phi,
-                dense_payload,
-                group_payloads,
-                outlier_payload,
-                attribute_payload,
-            )
+            sections = (dense_payload, group_payloads, outlier_payload, attribute_payload)
+            if context is None:
+                payload = pack_container(params, self.u_theta, self.u_phi, *sections)
+            else:
+                payload = pack_container_v3(
+                    params, self.u_theta, self.u_phi, context.fingerprint(), ego_delta,
+                    *sections,
+                )
+                # Advance the predictor to what the decoder will rebuild;
+                # sections the encoder has no reconstruction of are decoded.
+                groups_points = [
+                    encoding.points
+                    if encoding.points is not None
+                    else decode_sparse_group(
+                        encoding.payload, params, self.u_theta, self.u_phi
+                    )
+                    for encoding in encodings
+                ]
+                context.observe(
+                    dense_points,
+                    groups_points,
+                    decode_outliers(outlier_payload, params),
+                    dense_origin,
+                )
             recorder.count("compress.payload_bytes", len(payload))
 
         # The Figure 13 stage breakdown is a query over the span tree.
@@ -355,6 +428,83 @@ class DBGCCompressor:
         )
 
 
+def _untimed(name: str) -> contextlib.nullcontext:
+    return contextlib.nullcontext()
+
+
+def _section(payload: bytes, delta: bool) -> tuple[int, bytes]:
+    """A section's mode byte and body; v1/v2 sections are all intra."""
+    if not delta:
+        return MODE_INTRA, payload
+    if not payload:
+        raise ValueError("truncated DBGC container")
+    if payload[0] not in (MODE_INTRA, MODE_DELTA):
+        raise ValueError(f"unknown section mode byte {payload[0]}")
+    return payload[0], payload[1:]
+
+
+def decode_frame(
+    data: bytes,
+    context: TemporalContext | None = None,
+    recorder: obs.Recorder | None = None,
+) -> PointCloud:
+    """Decode one container of any version: the codec's one decode path.
+
+    v1/v2 frames decode standalone and, given a ``context``, become its
+    predictor state (a keyframe).  A v3 delta frame needs the ``context``
+    it was coded against — the header's fingerprint must match — reads
+    each dense/group section by its mode byte, and advances ``context``.
+    ``recorder`` times the OCT/SPA/OUT stages as spans; without one the
+    decode records nothing.
+    """
+    header, dense_payload, group_payloads, outlier_payload, _ = unpack_container(data)
+    delta = header.is_delta
+    if delta:
+        if context is None:
+            raise ValueError(
+                "cannot decompress a delta frame (format v3) standalone; "
+                "feed the stream through repro.core.temporal.TemporalDecoder"
+            )
+        if not context.has_state:
+            raise ValueError("delta frame without predictor state")
+        if header.predictor_fingerprint != context.fingerprint():
+            raise ValueError(
+                "delta frame predictor fingerprint mismatch "
+                f"(frame {header.predictor_fingerprint:#010x}, "
+                f"context {context.fingerprint():#010x})"
+            )
+    params = header.to_params()
+    version = header.version
+    ego = header.ego_delta
+    stage = recorder.span if recorder is not None else _untimed
+
+    with stage("dbgc.oct"):
+        mode, body = _section(dense_payload, delta)
+        if mode == MODE_DELTA:
+            dense, dense_origin = _decode_dense_delta(body, context, ego)
+        else:
+            dense = OctreeCodec(params.leaf_side).decode(body, version=version)
+            dense_origin = dense_payload_origin(body) if context is not None else None
+
+    with stage("dbgc.spa"):
+        groups = []
+        for payload in group_payloads:
+            mode, body = _section(payload, delta)
+            predictor = (context.prev_sparse, ego) if mode == MODE_DELTA else None
+            groups.append(
+                decode_sparse_group(
+                    body, params, header.u_theta, header.u_phi,
+                    version=version, predictor=predictor,
+                )
+            )
+
+    with stage("dbgc.out"):
+        outliers = decode_outliers(outlier_payload, params, version=version)
+    if context is not None:
+        context.observe(dense, groups, outliers, dense_origin, keyframe=not delta)
+    return PointCloud(np.vstack([dense, *groups, outliers]))
+
+
 class DBGCDecompressor:
     """The DBGC server-side decompression scheme (self-contained)."""
 
@@ -375,39 +525,13 @@ class DBGCDecompressor:
         """Decompress and report per-component wall-clock times.
 
         Like :meth:`DBGCCompressor.compress_detailed`, the timings are a
-        query over the observability span tree.
+        query over the observability span tree.  Delta frames (v3) need
+        their predecessor: decode those with a
+        :class:`~repro.core.temporal.TemporalDecoder`.
         """
         with obs.ensure_recorder() as recorder, recorder.span("dbgc.decompress") as root:
             recorder.count("decompress.frames")
-            header, dense_payload, group_payloads, outlier_payload, _ = unpack_container(
-                data
-            )
-            if header.is_delta:
-                raise ValueError(
-                    "cannot decompress a delta frame (format v3) standalone; "
-                    "feed the stream through repro.core.temporal.TemporalDecoder"
-                )
-            params = header.to_params()
-            version = header.version
-
-            with recorder.span("dbgc.oct"):
-                dense = OctreeCodec(params.leaf_side).decode(
-                    dense_payload, version=version
-                )
-
-            with recorder.span("dbgc.spa"):
-                chunks = [dense]
-                for payload in group_payloads:
-                    chunks.append(
-                        decode_sparse_group(
-                            payload, params, header.u_theta, header.u_phi,
-                            version=version,
-                        )
-                    )
-
-            with recorder.span("dbgc.out"):
-                chunks.append(decode_outliers(outlier_payload, params, version=version))
-            cloud = PointCloud(np.vstack(chunks))
+            cloud = decode_frame(data, recorder=recorder)
             recorder.count("decompress.points_out", len(cloud))
 
         timings = {

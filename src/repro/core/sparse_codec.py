@@ -19,6 +19,17 @@ The ``-Conversion`` ablation keeps the polyline organization but codes
 quantized Cartesian ``x, y, z`` instead of ``theta, phi, r`` (see
 DESIGN.md §4): the coordinate-system effect on stream entropy is exactly
 what the ablation isolates.
+
+With a *predictor* — the previous frame's decoded sparse points plus the
+ego motion since (temporal streams, :mod:`repro.core.temporal`) — Step 8
+has a second candidate tail.  Each polyline point is matched to the
+previous frame's points by quantized ray ``(theta, phi)``, raw and
+motion-compensated, giving two radial predictions next to the
+stream-order baseline (the previous ``d3``).  Where the candidates
+disagree by more than a few steps a 2-bit selector names the best one;
+the residual and selector streams replace ``∇L_r`` / ``L_ref``.  The
+encoder keeps whichever tail is smaller; Steps 1-7 are the same either
+way (angle jitter is frame-independent and does not predict well).
 """
 
 from __future__ import annotations
@@ -63,6 +74,10 @@ from repro.geometry.spherical import (
 __all__ = ["GroupEncoding", "encode_sparse_group", "decode_sparse_group"]
 
 _RMAX = struct.Struct("<d")
+#: Candidate spread (in radial quantization steps) above which the
+#: temporal tail spends a selector symbol instead of trusting the
+#: motion-compensated match.
+_SPREAD_FLAG = 4
 
 
 @dataclass
@@ -82,6 +97,12 @@ class GroupEncoding:
     #: when no observability recorder is active (the pipeline always
     #: installs one around :func:`encode_sparse_group`).
     timings: dict[str, float] = field(default_factory=dict)
+    #: True when the temporal radial tail was kept (predictor given).
+    temporal: bool = False
+    #: The decoder's reconstruction of the polyline points, in stored
+    #: order — filled in when a predictor was given and the group has
+    #: polylines, so the encoder can advance its predictor state.
+    points: np.ndarray | None = None
 
 
 def _quantize(values: np.ndarray, step: float) -> np.ndarray:
@@ -185,16 +206,211 @@ def _read_stream(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[pos : pos + size], pos + size
 
 
+def _radial_tail(values_payload: bytes, choice_payload: bytes) -> bytes:
+    """Step 8's two streams: radial values, then the per-point choices."""
+    tail = bytearray()
+    _append_stream(tail, values_payload)
+    _append_stream(tail, choice_payload)
+    return bytes(tail)
+
+
+def _group_points(
+    d1: np.ndarray,
+    d2: np.ndarray,
+    d3: np.ndarray,
+    q_theta: float,
+    q_phi: float,
+    q_r: float,
+) -> np.ndarray:
+    """Decoded Cartesian points of one spherical group.
+
+    The encoder builds its predictor state with the same expression the
+    decoder uses, so lockstep predictor clouds are bitwise identical.
+    """
+    tpr = np.column_stack(
+        [
+            d1.astype(np.float64) * 2.0 * q_theta,
+            d2.astype(np.float64) * 2.0 * q_phi,
+            d3.astype(np.float64) * 2.0 * q_r,
+        ]
+    )
+    return spherical_to_cartesian(tpr)
+
+
+# -- temporal radial tail ------------------------------------------------------------
+
+
+def _row_match(
+    d1: np.ndarray, d2: np.ndarray, prev_d1: np.ndarray, prev_d2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest previous point by quantized ray, searching phi rows ±1.
+
+    Returns ``(matched mask, index into the previous arrays)``; score is
+    ``|Δtheta| + 1000 · |row offset|`` so the own row always wins when
+    populated.
+    """
+    order = np.lexsort((prev_d1, prev_d2))
+    theta_sorted = prev_d1[order]
+    phi_sorted = prev_d2[order]
+    big = np.int64(1) << 32
+    keys = phi_sorted * big + theta_sorted
+    no_match = np.int64(1) << 30
+    best = np.full(d1.size, no_match)
+    best_idx = np.zeros(d1.size, dtype=np.int64)
+    for off in (-1, 0, 1):
+        query = (d2 + off) * big + d1
+        j = np.searchsorted(keys, query)
+        for side in (j - 1, j):
+            ok = (side >= 0) & (side < keys.size)
+            clipped = np.clip(side, 0, keys.size - 1)
+            ok &= phi_sorted[clipped] == (d2 + off)
+            score = np.abs(theta_sorted[clipped] - d1) + abs(off) * 1000
+            better = ok & (score < best)
+            best = np.where(better, score, best)
+            best_idx = np.where(better, order[clipped], best_idx)
+    return best < no_match, best_idx
+
+
+def _baseline_refs(d3: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """Stream-order previous ``d3`` (0 at each line head)."""
+    refs = np.empty_like(d3)
+    offset = 0
+    for length in lengths:
+        refs[offset] = 0
+        refs[offset + 1 : offset + length] = d3[offset : offset + length - 1]
+        offset += length
+    return refs
+
+
+def _ray_candidates(
+    d1: np.ndarray,
+    d2: np.ndarray,
+    prev_sparse: np.ndarray,
+    ego_delta,
+    q_theta: float,
+    q_phi: float,
+    q_r: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw and motion-compensated radial predictions per current point.
+
+    Returns ``(matched, r_raw, r_mc)``; ``matched`` requires a hit in
+    *both* views so encoder and decoder agree without extra flags.
+    """
+    prev_sph = cartesian_to_spherical(prev_sparse)
+    tq = _quantize(prev_sph[:, 0], 2.0 * q_theta)
+    pq = _quantize(prev_sph[:, 1], 2.0 * q_phi)
+    rq = _quantize(prev_sph[:, 2], 2.0 * q_r)
+    m_raw, idx_raw = _row_match(d1, d2, tq, pq)
+    moved = prev_sparse - np.asarray(ego_delta, dtype=np.float64)[None, :]
+    mc_sph = cartesian_to_spherical(moved)
+    tq_mc = _quantize(mc_sph[:, 0], 2.0 * q_theta)
+    pq_mc = _quantize(mc_sph[:, 1], 2.0 * q_phi)
+    rq_mc = _quantize(mc_sph[:, 2], 2.0 * q_r)
+    m_mc, idx_mc = _row_match(d1, d2, tq_mc, pq_mc)
+    return m_raw & m_mc, rq[idx_raw], rq_mc[idx_mc]
+
+
+def _encode_temporal_tail(
+    d1: np.ndarray,
+    d2: np.ndarray,
+    d3: np.ndarray,
+    lengths: list[int],
+    predictor,
+    q_theta: float,
+    q_phi: float,
+    q_r: float,
+    backend: EntropyBackend,
+) -> tuple[bytes, bytes]:
+    """The temporal tail's ``(residual stream, selector stream)``."""
+    prev_sparse, ego_delta = predictor
+    matched, r_raw, r_mc = _ray_candidates(
+        d1, d2, prev_sparse, ego_delta, q_theta, q_phi, q_r
+    )
+    r_baseline = _baseline_refs(d3, lengths)
+    candidates = np.stack([r_baseline, r_raw, r_mc], axis=1)
+    flagged = matched & ((candidates.max(axis=1) - candidates.min(axis=1)) > _SPREAD_FLAG)
+    selectors = np.abs(d3[:, None] - candidates).argmin(axis=1)
+    refs = np.where(
+        matched,
+        np.where(flagged, candidates[np.arange(len(d3)), selectors], r_mc),
+        r_baseline,
+    )
+    sel_payload = bytearray()
+    n_flagged = int(flagged.sum())
+    encode_uvarint(n_flagged, sel_payload)
+    if n_flagged:
+        sel_payload += encode_tagged_symbols(selectors[flagged], 3, backend)
+    return encode_tagged_ints(d3 - refs, backend), bytes(sel_payload)
+
+
+def _decode_temporal_d3(
+    d1: np.ndarray,
+    d2: np.ndarray,
+    lengths: list[int],
+    residuals: np.ndarray,
+    selectors: np.ndarray,
+    predictor,
+    q_theta: float,
+    q_phi: float,
+    q_r: float,
+) -> np.ndarray:
+    """Inverse of :func:`_encode_temporal_tail`: the group's ``d3``."""
+    if residuals.size != d1.size:
+        raise ValueError("corrupt temporal group: residual stream mismatch")
+    prev_sparse, ego_delta = predictor
+    matched, r_raw, r_mc = _ray_candidates(
+        d1, d2, prev_sparse, ego_delta, q_theta, q_phi, q_r
+    )
+    # d3 must be reconstructed sequentially: the stream-order baseline (and
+    # with it the flag decision) depends on the previous decoded value.
+    d3 = np.empty(d1.size, dtype=np.int64)
+    matched_l = matched.tolist()
+    r_raw_l = r_raw.tolist()
+    r_mc_l = r_mc.tolist()
+    residuals_l = residuals.tolist()
+    selectors_l = selectors.tolist()
+    sel_i = 0
+    idx = 0
+    for length in lengths:
+        prev_val = 0
+        for _ in range(length):
+            if matched_l[idx]:
+                cands = (prev_val, r_raw_l[idx], r_mc_l[idx])
+                if max(cands) - min(cands) > _SPREAD_FLAG:
+                    if sel_i >= len(selectors_l):
+                        raise ValueError("corrupt temporal group: selector underrun")
+                    ref = cands[selectors_l[sel_i]]
+                    sel_i += 1
+                else:
+                    ref = r_mc_l[idx]
+            else:
+                ref = prev_val
+            prev_val = ref + residuals_l[idx]
+            d3[idx] = prev_val
+            idx += 1
+    if sel_i != len(selectors_l):
+        raise ValueError("corrupt temporal group: selector stream mismatch")
+    return d3
+
+
+# -- the group codec -----------------------------------------------------------------
+
+
 def encode_sparse_group(
     xyz_group: np.ndarray,
     params: DBGCParams,
     u_theta: float,
     u_phi: float,
+    predictor=None,
 ) -> GroupEncoding:
     """Encode one radial group of sparse points.
 
     Returns the group payload plus the outlier indices (points on no
     polyline of length >= 2) and the stored point order for correspondence.
+    ``predictor`` — ``(prev_sparse, ego_delta)``, the previous frame's
+    decoded sparse points and the sensor translation since, for spherical
+    coding only — adds the temporal radial tail as a candidate; the
+    smaller tail is kept and :attr:`GroupEncoding.temporal` says which.
     """
     xyz_group = np.asarray(xyz_group, dtype=np.float64)
     n_input = len(xyz_group)
@@ -308,11 +524,23 @@ def encode_sparse_group(
             ref_payload = bytearray()
             encode_uvarint(0, ref_payload)
 
-        payload = encode_tagged_ints(nabla, backend)
-        _append_stream(out, payload)
-        sizes["d3"] = len(payload)
-        _append_stream(out, bytes(ref_payload))
-        sizes["l_ref"] = len(ref_payload)
+        d3_payload = encode_tagged_ints(nabla, backend)
+        tail = _radial_tail(d3_payload, bytes(ref_payload))
+        tail_sizes = {"d3": len(d3_payload), "l_ref": len(ref_payload)}
+        temporal, points = False, None
+        if predictor is not None:
+            d1, d2, d3 = (np.concatenate(s) for s in (lines_d1, lines_d2, lines_d3))
+            residual_payload, sel_payload = _encode_temporal_tail(
+                d1, d2, d3, lengths, predictor, q_theta, q_phi, q_r, backend
+            )
+            delta_tail = _radial_tail(residual_payload, sel_payload)
+            temporal = len(delta_tail) < len(tail)
+            if temporal:
+                tail = delta_tail
+                tail_sizes = {"d3": len(residual_payload), "l_sel": len(sel_payload)}
+            points = _group_points(d1, d2, d3, q_theta, q_phi, q_r)
+        out += tail
+        sizes.update(tail_sizes)
         # Per-stream byte accounting (the Figure 13 size breakdown): each
         # named stream lands on the active span and the bytes.* counters.
         for name, size in sizes.items():
@@ -328,6 +556,8 @@ def encode_sparse_group(
             "org": sp_org.duration,
             "spa": sp_spa.duration,
         },
+        temporal=temporal,
+        points=points,
     )
 
 
@@ -337,6 +567,7 @@ def decode_sparse_group(
     u_theta: float,
     u_phi: float,
     version: int = 2,
+    predictor=None,
 ) -> np.ndarray:
     """Decode one group payload back to Cartesian coordinates.
 
@@ -344,10 +575,14 @@ def decode_sparse_group(
     :attr:`GroupEncoding.order` on the encoder side).  ``version=1``
     selects the legacy stream layouts (checksum-less int sequences, raw
     arithmetic ``L_ref``), so v1 containers decode bit-identically.
+    ``predictor`` (as in :func:`encode_sparse_group`) marks a group whose
+    radial tail is the temporal one.
     """
     n_points, pos = decode_uvarint(payload, 0)
     if n_points == 0:
         return np.empty((0, 3), dtype=np.float64)
+    if predictor is not None and not len(predictor[0]):
+        raise ValueError("temporal group without predictor state")
     n_lines, pos = decode_uvarint(payload, pos)
     (r_max,) = _RMAX.unpack_from(payload, pos)
     pos += _RMAX.size
@@ -384,7 +619,17 @@ def decode_sparse_group(
     ref_stream, pos = _read_stream(payload, pos)
     n_symbols, ref_pos = decode_uvarint(ref_stream, 0)
 
-    if params.spherical_conversion and params.radial_reference:
+    d1 = np.concatenate(lines_d1)
+    d2 = np.concatenate(lines_d2)
+    if predictor is not None:
+        if n_symbols:
+            selectors = decode_tagged_symbols(ref_stream[ref_pos:], n_symbols, 3)
+        else:
+            selectors = np.empty(0, dtype=np.int64)
+        d3 = _decode_temporal_d3(
+            d1, d2, lengths, nabla, selectors, predictor, q_theta, q_phi, q_r
+        )
+    elif params.spherical_conversion and params.radial_reference:
         if version == 1:
             symbols = arithmetic_decode(ref_stream[ref_pos:], n_symbols, 4)
         elif n_symbols:
@@ -393,18 +638,14 @@ def decode_sparse_group(
             symbols = np.empty(0, dtype=np.int64)
         th_phi_q = max(int(round(2.0 * u_phi / (2.0 * q_phi))), 0)
         th_r_q = max(int(round(params.th_r / (2.0 * q_r))), 1)
-        line_phis = [int(d2[0]) for d2 in lines_d2]
-        lines_d3 = decode_radial(lines_d1, line_phis, nabla, symbols, th_phi_q, th_r_q)
-    else:
-        lines_d3 = decode_radial_plain(nabla, lengths)
-
-    d1 = np.concatenate(lines_d1).astype(np.float64)
-    d2 = np.concatenate(lines_d2).astype(np.float64)
-    d3 = np.concatenate(lines_d3).astype(np.float64)
-    if params.spherical_conversion:
-        tpr = np.column_stack(
-            [d1 * 2.0 * q_theta, d2 * 2.0 * q_phi, d3 * 2.0 * q_r]
+        line_phis = [int(line[0]) for line in lines_d2]
+        d3 = np.concatenate(
+            decode_radial(lines_d1, line_phis, nabla, symbols, th_phi_q, th_r_q)
         )
-        return spherical_to_cartesian(tpr)
+    else:
+        d3 = np.concatenate(decode_radial_plain(nabla, lengths))
+
+    if params.spherical_conversion:
+        return _group_points(d1, d2, d3, q_theta, q_phi, q_r)
     step = 2.0 * params.q_xyz
-    return np.column_stack([d1 * step, d2 * step, d3 * step])
+    return np.column_stack([d.astype(np.float64) * step for d in (d1, d2, d3)])

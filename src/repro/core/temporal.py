@@ -1,35 +1,29 @@
-"""Inter-frame temporal (delta) coding — container format v3.
+"""Temporal stream state: the predictor and the dense delta coder (format v3).
 
 LiDAR frames along a trajectory are highly redundant: most of the scene
 geometry of frame ``i`` is already present — shifted by the ego motion —
-in frame ``i - 1``.  This module exploits that redundancy for *stream*
-compression while keeping every frame's per-point error bound and the
-byte-exact round-trip guarantee of the intra codec:
+in frame ``i - 1``.  A temporal stream exploits that with *delta frames*
+(container format v3) between periodic intra keyframes.  There is one
+frame codec (:mod:`repro.core.pipeline`); a delta frame is what it
+produces when it is handed a predictor — a :class:`TemporalContext` plus
+the ego delta — and each section then picks intra or delta coding,
+whichever is strictly smaller, behind a leading mode byte:
 
-* **Dense (octree) delta coding.**  Delta frames quantize the dense set on
-  a grid whose origin is *chain-snapped* to the previous frame's grid
-  (``origin = prev + floor((lo - prev) / leaf) * leaf``) so predictor
-  cells and current cells align.  The occupancy bytes are then coded
+* **Dense section** (this module).  The delta candidate quantizes the
+  dense set on a grid whose origin is *chain-snapped* to the previous
+  frame's grid (``origin = prev + floor((lo - prev) / leaf) * leaf``) so
+  predictor cells and current cells align.  The occupancy bytes are coded
   bit-by-bit with adaptive binary models conditioned on three predictors
-  derived from the previous decoded cloud: its exact occupancy (**E**),
-  a radially dilated version (**D**, absorbing the half-leaf jitter of
+  derived from the previous decoded cloud: its exact occupancy (**E**), a
+  radially dilated version (**D**, absorbing the half-leaf jitter of
   re-quantization), and an ego-motion-compensated dilated version
   (**M**).  Models persist across delta frames and reset at keyframes.
 
-* **Sparse radial (d3) delta coding.**  For each polyline point the
-  previous frame's decoded sparse points are matched by quantized ray
-  ``(theta, phi)`` — raw and motion-compensated — giving two radial
-  predictions in addition to the stream-order baseline (the previous
-  ``d3``).  Where the candidates disagree by more than a few steps a
-  2-bit selector names the best one; the residual stream replaces the
-  intra pipeline's consensus-reference ``∇L_r`` / ``L_ref`` tail.  The
-  ``theta`` / ``phi`` / length streams are byte-identical to intra coding
-  (angle jitter is frame-independent and does not predict well).
+* **Sparse groups** (:mod:`repro.core.sparse_codec`).  The temporal
+  radial tail predicts each polyline point's range from the previous
+  frame's decoded sparse points; the front streams are the intra ones.
 
-Every component carries a leading mode byte and falls back to intra
-coding whenever the delta coding is not smaller, so a delta frame is
-never worse than its intra equivalent plus a few flag bytes.  Outliers
-and attributes are always intra-coded.
+Outliers and attributes are always intra-coded.
 
 Encoder and decoder advance a shared :class:`TemporalContext` in
 lockstep; a content CRC of the predictor cloud travels in the v3 header
@@ -45,52 +39,17 @@ import zlib
 
 import numpy as np
 
-from repro.core.attributes import (
-    DEFAULT_ATTRIBUTE_STEP,
-    decode_attributes,
-    encode_attributes,
-)
-from repro.core.container import (
-    container_version,
-    pack_container_v3,
-    unpack_container,
-)
-from repro.core.outlier import decode_outliers, encode_outliers
+from repro.core.attributes import decode_attributes
+from repro.core.container import unpack_container
 from repro.core.params import DBGCParams
-from repro.core.polyline import organize_polylines
-from repro.core.reference import encode_radial, encode_radial_plain
-from repro.core.sparse_codec import (
-    _RMAX,
-    _append_stream,
-    _heads_tails,
-    _pack_stream,
-    _quantize,
-    _read_stream,
-    _rebuild_lines,
-    _unpack_stream,
-    decode_sparse_group,
-    encode_sparse_group,
-)
 from repro.entropy.arithmetic import (
     AdaptiveModel,
     ArithmeticDecoder,
     ArithmeticEncoder,
 )
-from repro.entropy.backend import (
-    decode_tagged_ints,
-    decode_tagged_symbols,
-    encode_tagged_ints,
-    encode_tagged_symbols,
-    get_backend,
-)
+from repro.entropy.backend import decode_tagged_ints, encode_tagged_ints
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry.points import PointCloud
-from repro.geometry.spherical import (
-    cartesian_to_spherical,
-    spherical_error_bounds,
-    spherical_to_cartesian,
-)
-from repro.octree.codec import OctreeCodec
 from repro.octree.morton import MAX_DEPTH_3D, deinterleave3, interleave3
 from repro.octree.octree import build_octree_structure, expand_occupancy_level
 
@@ -100,9 +59,6 @@ __all__ = [
     "MODE_DELTA",
     "TemporalContext",
     "TemporalDecoder",
-    "compress_delta",
-    "decompress_delta",
-    "observe_intra",
     "dense_payload_origin",
 ]
 
@@ -117,9 +73,6 @@ KEYFRAME_MAX_VERSION = 2
 #: Adaptivity of the binary occupancy-bit models (faster than the intra
 #: byte model's 32 because each context sees far fewer symbols).
 _OCC_INCREMENT = 24
-#: Candidate spread (in radial quantization steps) above which a selector
-#: symbol is spent instead of trusting the motion-compensated match.
-_SPREAD_FLAG = 4
 #: Same ``(origin, leaf_side)`` header as the intra octree payload.
 _DENSE_HEADER = struct.Struct("<4d")
 
@@ -331,8 +284,14 @@ def _decode_occupancy(
     pred_maps: list[list[tuple[np.ndarray, np.ndarray]]],
     depth: int,
     models: dict[tuple, AdaptiveModel],
+    max_nodes: int,
 ) -> np.ndarray:
-    """Mirror of :func:`_code_occupancy`; returns the leaf Morton codes."""
+    """Mirror of :func:`_code_occupancy`; returns the leaf Morton codes.
+
+    No level of a valid tree holds more nodes than there are points, so a
+    level past ``max_nodes`` is corruption; stopping there keeps a bad
+    payload from growing the tree eightfold per level.
+    """
     decoder = ArithmeticDecoder(payload)
     nodes = np.zeros(1, dtype=np.int64)
     for level in range(depth):
@@ -355,6 +314,8 @@ def _decode_occupancy(
                 decoded |= bit << b
             level_occ[i] = decoded
         nodes = expand_occupancy_level(nodes, level_occ)
+        if len(nodes) > max_nodes:
+            raise ValueError("dense delta tree has more nodes than points")
     return nodes
 
 
@@ -387,13 +348,16 @@ def _encode_dense_delta(
     params: DBGCParams,
     context: TemporalContext,
     ego_delta,
-    models: dict[tuple, AdaptiveModel],
+    intra_size: int,
 ):
-    """Delta-code the dense set on the chain-snapped grid.
+    """Delta-code the dense set on the chain-snapped grid, if that wins.
 
-    Returns ``(payload, per_point_codes, leaf_codes, leaf_counts, origin)``
-    or ``None`` when delta coding is not applicable (empty set, grid
-    overflow).  ``models`` is mutated — pass a clone and commit on choice.
+    Returns ``(payload, mapping, points, origin)`` — the decoded-order
+    permutation and the decoder's reconstruction, for the predictor — and
+    commits the occupancy-model updates to ``context``, when the delta
+    payload is strictly smaller than ``intra_size`` bytes.  Returns
+    ``None`` and leaves ``context`` untouched otherwise, or when delta
+    coding is not applicable (empty set, grid overflow).
     """
     if len(xyz) == 0 or context.prev_cloud is None or len(context.prev_cloud) == 0:
         return None
@@ -414,6 +378,7 @@ def _encode_dense_delta(
     structure = build_octree_structure(codes, depth)
     occ = structure.occupancy_stream().astype(np.int64)
     maps = _pred_maps(context.prev_cloud, origin, leaf, depth, ego_delta)
+    models = _clone_models(context.occ_models)
     occ_payload = _code_occupancy(occ, maps, depth, models)
     out = bytearray()
     encode_uvarint(len(xyz), out)
@@ -422,7 +387,14 @@ def _encode_dense_delta(
     encode_uvarint(len(occ_payload), out)
     out += occ_payload
     out += encode_tagged_ints(structure.leaf_counts - 1, params.entropy_backend)
-    return bytes(out), codes, structure.leaf_codes, structure.leaf_counts, origin
+    if len(out) >= intra_size:
+        return None
+    context.occ_models = models
+    order = np.argsort(codes, kind="stable")
+    mapping = np.empty(len(codes), dtype=np.int64)
+    mapping[order] = np.arange(len(codes))
+    points = _leaf_points(structure.leaf_codes, structure.leaf_counts, origin, leaf)
+    return bytes(out), mapping, points, origin
 
 
 def _decode_dense_delta(
@@ -441,548 +413,21 @@ def _decode_dense_delta(
     pos += _DENSE_HEADER.size
     origin = np.array([ox, oy, oz], dtype=np.float64)
     depth, pos = decode_uvarint(data, pos)
+    if not 1 <= depth <= MAX_DEPTH_3D:
+        raise ValueError(f"dense delta depth {depth} outside [1, {MAX_DEPTH_3D}]")
     occ_len, pos = decode_uvarint(data, pos)
     occ_payload = data[pos : pos + occ_len]
     pos += occ_len
     maps = _pred_maps(context.prev_cloud, origin, leaf, depth, ego_delta)
-    leaf_codes = _decode_occupancy(occ_payload, maps, depth, context.occ_models)
+    leaf_codes = _decode_occupancy(
+        occ_payload, maps, depth, context.occ_models, n_points
+    )
     counts = decode_tagged_ints(data[pos:]) + 1
     if counts.size != leaf_codes.size:
         raise ValueError("leaf count stream does not match occupancy tree")
+    if counts.sum() != n_points:
+        raise ValueError("leaf counts do not add up to the point count")
     return _leaf_points(leaf_codes, counts, origin, leaf), origin
-
-
-# -- sparse (radial) delta coding --------------------------------------------------
-
-
-def _row_match(
-    d1: np.ndarray, d2: np.ndarray, prev_d1: np.ndarray, prev_d2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest previous point by quantized ray, searching phi rows ±1.
-
-    Returns ``(matched mask, index into the previous arrays)``; score is
-    ``|Δtheta| + 1000 · |row offset|`` so the own row always wins when
-    populated.
-    """
-    order = np.lexsort((prev_d1, prev_d2))
-    theta_sorted = prev_d1[order]
-    phi_sorted = prev_d2[order]
-    big = np.int64(1) << 32
-    keys = phi_sorted * big + theta_sorted
-    no_match = np.int64(1) << 30
-    best = np.full(d1.size, no_match)
-    best_idx = np.zeros(d1.size, dtype=np.int64)
-    for off in (-1, 0, 1):
-        query = (d2 + off) * big + d1
-        j = np.searchsorted(keys, query)
-        for side in (j - 1, j):
-            ok = (side >= 0) & (side < keys.size)
-            clipped = np.clip(side, 0, keys.size - 1)
-            ok &= phi_sorted[clipped] == (d2 + off)
-            score = np.abs(theta_sorted[clipped] - d1) + abs(off) * 1000
-            better = ok & (score < best)
-            best = np.where(better, score, best)
-            best_idx = np.where(better, order[clipped], best_idx)
-    return best < no_match, best_idx
-
-
-def _baseline_refs(d3: np.ndarray, lengths: list[int]) -> np.ndarray:
-    """Stream-order previous ``d3`` (0 at each line head)."""
-    refs = np.empty_like(d3)
-    offset = 0
-    for length in lengths:
-        refs[offset] = 0
-        refs[offset + 1 : offset + length] = d3[offset : offset + length - 1]
-        offset += length
-    return refs
-
-
-def _ray_candidates(
-    d1: np.ndarray,
-    d2: np.ndarray,
-    prev_sparse: np.ndarray,
-    ego_delta,
-    q_theta: float,
-    q_phi: float,
-    q_r: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw and motion-compensated radial predictions per current point.
-
-    Returns ``(matched, r_raw, r_mc)``; ``matched`` requires a hit in
-    *both* views so encoder and decoder agree without extra flags.
-    """
-    prev_sph = cartesian_to_spherical(prev_sparse)
-    tq = _quantize(prev_sph[:, 0], 2.0 * q_theta)
-    pq = _quantize(prev_sph[:, 1], 2.0 * q_phi)
-    rq = _quantize(prev_sph[:, 2], 2.0 * q_r)
-    m_raw, idx_raw = _row_match(d1, d2, tq, pq)
-    moved = prev_sparse - np.asarray(ego_delta, dtype=np.float64)[None, :]
-    mc_sph = cartesian_to_spherical(moved)
-    tq_mc = _quantize(mc_sph[:, 0], 2.0 * q_theta)
-    pq_mc = _quantize(mc_sph[:, 1], 2.0 * q_phi)
-    rq_mc = _quantize(mc_sph[:, 2], 2.0 * q_r)
-    m_mc, idx_mc = _row_match(d1, d2, tq_mc, pq_mc)
-    return m_raw & m_mc, rq[idx_raw], rq_mc[idx_mc]
-
-
-def _group_points(
-    d1: np.ndarray,
-    d2: np.ndarray,
-    d3: np.ndarray,
-    q_theta: float,
-    q_phi: float,
-    q_r: float,
-) -> np.ndarray:
-    """Decoded Cartesian points of one group (matches the intra decoder's
-    float expression exactly, so lockstep predictor clouds are bitwise
-    identical)."""
-    tpr = np.column_stack(
-        [
-            d1.astype(np.float64) * 2.0 * q_theta,
-            d2.astype(np.float64) * 2.0 * q_phi,
-            d3.astype(np.float64) * 2.0 * q_r,
-        ]
-    )
-    return spherical_to_cartesian(tpr)
-
-
-def encode_group_payload(
-    xyz_group: np.ndarray,
-    params: DBGCParams,
-    u_theta: float,
-    u_phi: float,
-    context: TemporalContext,
-    ego_delta,
-) -> tuple[bytes, np.ndarray, np.ndarray, dict[str, int], np.ndarray]:
-    """Encode one sparse group for a delta frame (mode byte included).
-
-    Builds the intra front (lengths / theta / phi streams, byte-identical
-    to :func:`~repro.core.sparse_codec.encode_sparse_group`) plus *both*
-    radial tails — the intra consensus-reference tail and the temporal
-    predictor tail — and keeps whichever is smaller.  Returns
-    ``(payload, outlier_indices, order, stream_sizes, decoded_points)``.
-    """
-    xyz_group = np.asarray(xyz_group, dtype=np.float64)
-    empty = np.empty(0, dtype=np.int64)
-    if (
-        not params.spherical_conversion
-        or context.prev_sparse is None
-        or len(context.prev_sparse) == 0
-    ):
-        enc = encode_sparse_group(xyz_group, params, u_theta, u_phi)
-        decoded = decode_sparse_group(enc.payload, params, u_theta, u_phi)
-        return (
-            bytes([MODE_INTRA]) + enc.payload,
-            enc.outlier_indices,
-            enc.order,
-            dict(enc.stream_sizes),
-            decoded,
-        )
-    if len(xyz_group) == 0:
-        out = bytearray([MODE_INTRA])
-        encode_uvarint(0, out)
-        return bytes(out), empty, empty, {}, np.empty((0, 3), dtype=np.float64)
-
-    tpr = cartesian_to_spherical(xyz_group)
-    theta, phi, radius = tpr[:, 0], tpr[:, 1], tpr[:, 2]
-    all_lines = organize_polylines(theta, phi, xyz_group, u_theta, u_phi)
-    lines = [line for line in all_lines if len(line) >= 2]
-    outliers = (
-        np.concatenate([line for line in all_lines if len(line) < 2])
-        if any(len(line) < 2 for line in all_lines)
-        else empty
-    )
-    if not lines:
-        out = bytearray([MODE_INTRA])
-        encode_uvarint(0, out)
-        return bytes(out), outliers, empty, {}, np.empty((0, 3), dtype=np.float64)
-
-    r_max = max(float(max(radius[line].max() for line in lines)), 1e-9)
-    q_theta, q_phi, q_r = spherical_error_bounds(
-        params.q_xyz, r_max, strict_cartesian=params.strict_cartesian
-    )
-    d1_all = _quantize(theta, 2.0 * q_theta)
-    d2_all = _quantize(phi, 2.0 * q_phi)
-    d3_all = _quantize(radius, 2.0 * q_r)
-    lines.sort(key=lambda line: (int(d2_all[line[0]]), int(d1_all[line[0]])))
-    lines_d1 = [d1_all[line] for line in lines]
-    lines_d2 = [d2_all[line] for line in lines]
-    lines_d3 = [d3_all[line] for line in lines]
-    lengths = [len(line) for line in lines]
-    order = np.concatenate(lines)
-    backend = get_backend(params.entropy_backend)
-
-    # The front is byte-identical to the intra encoder (Steps 1-7).
-    out = bytearray()
-    encode_uvarint(int(order.size), out)
-    encode_uvarint(len(lines), out)
-    out += _RMAX.pack(r_max)
-    sizes: dict[str, int] = {}
-    payload = encode_tagged_ints(np.asarray(lengths, dtype=np.int64), backend)
-    _append_stream(out, payload)
-    sizes["lengths"] = len(payload)
-    for name, series in (("d1", lines_d1), ("d2", lines_d2)):
-        heads, tails = _heads_tails(series)
-        payload = _pack_stream(heads, backend)
-        _append_stream(out, payload)
-        sizes[name + "_heads"] = len(payload)
-        payload = _pack_stream(tails, backend)
-        _append_stream(out, payload)
-        sizes[name + "_tails"] = len(payload)
-
-    # Intra radial tail: the consensus-reference scheme of Step 8.
-    if params.radial_reference:
-        th_phi_q = max(int(round(2.0 * u_phi / (2.0 * q_phi))), 0)
-        th_r_q = max(int(round(params.th_r / (2.0 * q_r))), 1)
-        line_phis = [int(d2[0]) for d2 in lines_d2]
-        nabla, symbols = encode_radial(lines_d1, lines_d3, line_phis, th_phi_q, th_r_q)
-        ref_payload = bytearray()
-        encode_uvarint(len(symbols), ref_payload)
-        if len(symbols):
-            ref_payload += encode_tagged_symbols(
-                np.asarray(symbols, dtype=np.int64), 4, backend
-            )
-    else:
-        nabla = encode_radial_plain(lines_d3)
-        ref_payload = bytearray()
-        encode_uvarint(0, ref_payload)
-    intra_d3 = encode_tagged_ints(nabla, backend)
-    intra_tail = bytearray()
-    _append_stream(intra_tail, intra_d3)
-    _append_stream(intra_tail, bytes(ref_payload))
-
-    # Temporal radial tail: predictor candidates + selector + residual.
-    d1 = np.concatenate(lines_d1)
-    d2 = np.concatenate(lines_d2)
-    d3 = np.concatenate(lines_d3)
-    matched, r_raw, r_mc = _ray_candidates(
-        d1, d2, context.prev_sparse, ego_delta, q_theta, q_phi, q_r
-    )
-    r_baseline = _baseline_refs(d3, lengths)
-    candidates = np.stack([r_baseline, r_raw, r_mc], axis=1)
-    flagged = matched & ((candidates.max(axis=1) - candidates.min(axis=1)) > _SPREAD_FLAG)
-    selectors = np.abs(d3[:, None] - candidates).argmin(axis=1)
-    refs = np.where(
-        matched,
-        np.where(flagged, candidates[np.arange(len(d3)), selectors], r_mc),
-        r_baseline,
-    )
-    delta_d3 = encode_tagged_ints(d3 - refs, backend)
-    sel_payload = bytearray()
-    n_flagged = int(flagged.sum())
-    encode_uvarint(n_flagged, sel_payload)
-    if n_flagged:
-        sel_payload += encode_tagged_symbols(selectors[flagged], 3, backend)
-    delta_tail = bytearray()
-    _append_stream(delta_tail, delta_d3)
-    _append_stream(delta_tail, bytes(sel_payload))
-
-    if len(delta_tail) < len(intra_tail):
-        mode = MODE_DELTA
-        out += delta_tail
-        sizes["d3"] = len(delta_d3)
-        sizes["l_sel"] = len(sel_payload)
-    else:
-        mode = MODE_INTRA
-        out += intra_tail
-        sizes["d3"] = len(intra_d3)
-        sizes["l_ref"] = len(ref_payload)
-    decoded = _group_points(d1, d2, d3, q_theta, q_phi, q_r)
-    return bytes([mode]) + bytes(out), outliers, order, sizes, decoded
-
-
-def decode_sparse_group_delta(
-    payload: bytes,
-    params: DBGCParams,
-    u_theta: float,
-    u_phi: float,
-    context: TemporalContext,
-    ego_delta,
-) -> np.ndarray:
-    """Decode a temporally-coded group payload (mode byte stripped)."""
-    n_points, pos = decode_uvarint(payload, 0)
-    if n_points == 0:
-        return np.empty((0, 3), dtype=np.float64)
-    if context.prev_sparse is None or len(context.prev_sparse) == 0:
-        raise ValueError("temporal group without predictor state")
-    n_lines, pos = decode_uvarint(payload, pos)
-    (r_max,) = _RMAX.unpack_from(payload, pos)
-    pos += _RMAX.size
-    q_theta, q_phi, q_r = spherical_error_bounds(
-        params.q_xyz, r_max, strict_cartesian=params.strict_cartesian
-    )
-    stream, pos = _read_stream(payload, pos)
-    lengths = decode_tagged_ints(stream).tolist()
-    if len(lengths) != n_lines or sum(lengths) != n_points:
-        raise ValueError("corrupt sparse group: length stream mismatch")
-    n_tail = n_points - n_lines
-    stream, pos = _read_stream(payload, pos)
-    d1_heads = _unpack_stream(stream, n_lines)
-    stream, pos = _read_stream(payload, pos)
-    d1_tails = _unpack_stream(stream, n_tail)
-    lines_d1 = _rebuild_lines(d1_heads, d1_tails, lengths)
-    stream, pos = _read_stream(payload, pos)
-    d2_heads = _unpack_stream(stream, n_lines)
-    stream, pos = _read_stream(payload, pos)
-    d2_tails = _unpack_stream(stream, n_tail)
-    lines_d2 = _rebuild_lines(d2_heads, d2_tails, lengths)
-
-    stream, pos = _read_stream(payload, pos)
-    residuals = decode_tagged_ints(stream)
-    if residuals.size != n_points:
-        raise ValueError("corrupt temporal group: residual stream mismatch")
-    sel_stream, pos = _read_stream(payload, pos)
-    n_flagged, sel_pos = decode_uvarint(sel_stream, 0)
-    if n_flagged:
-        selectors = decode_tagged_symbols(sel_stream[sel_pos:], n_flagged, 3)
-    else:
-        selectors = np.empty(0, dtype=np.int64)
-
-    d1 = np.concatenate(lines_d1)
-    d2 = np.concatenate(lines_d2)
-    matched, r_raw, r_mc = _ray_candidates(
-        d1, d2, context.prev_sparse, ego_delta, q_theta, q_phi, q_r
-    )
-    # d3 must be reconstructed sequentially: the stream-order baseline (and
-    # with it the flag decision) depends on the previous decoded value.
-    d3 = np.empty(n_points, dtype=np.int64)
-    matched_l = matched.tolist()
-    r_raw_l = r_raw.tolist()
-    r_mc_l = r_mc.tolist()
-    residuals_l = residuals.tolist()
-    selectors_l = selectors.tolist()
-    sel_i = 0
-    idx = 0
-    for length in lengths:
-        prev_val = 0
-        for _ in range(length):
-            if matched_l[idx]:
-                cands = (prev_val, r_raw_l[idx], r_mc_l[idx])
-                if max(cands) - min(cands) > _SPREAD_FLAG:
-                    if sel_i >= len(selectors_l):
-                        raise ValueError("corrupt temporal group: selector underrun")
-                    ref = cands[selectors_l[sel_i]]
-                    sel_i += 1
-                else:
-                    ref = r_mc_l[idx]
-            else:
-                ref = prev_val
-            prev_val = ref + residuals_l[idx]
-            d3[idx] = prev_val
-            idx += 1
-    if sel_i != len(selectors_l):
-        raise ValueError("corrupt temporal group: selector stream mismatch")
-    return _group_points(d1, d2, d3, q_theta, q_phi, q_r)
-
-
-# -- frame orchestration -----------------------------------------------------------
-
-
-def compress_delta(
-    compressor,
-    cloud: PointCloud,
-    context: TemporalContext,
-    ego_delta=(0.0, 0.0, 0.0),
-    attributes: dict[str, np.ndarray] | None = None,
-    attribute_steps=DEFAULT_ATTRIBUTE_STEP,
-):
-    """Compress one delta frame (format v3) against ``context``.
-
-    ``compressor`` is a :class:`repro.core.pipeline.DBGCCompressor`; the
-    frame pipeline mirrors its intra path, with per-component delta/intra
-    choice.  ``context`` is advanced to this frame's decoded geometry.
-    """
-    from repro.core.pipeline import CompressionResult
-
-    if not context.has_state:
-        raise ValueError("delta frame requires predictor state (code a keyframe first)")
-    params = compressor.params
-    xyz = cloud.xyz
-    n = len(xyz)
-    ego = tuple(float(v) for v in ego_delta)
-    fingerprint = context.fingerprint()
-    sizes: dict[str, int] = {}
-
-    dense_mask = compressor._classify(xyz)
-    dense_idx = np.flatnonzero(dense_mask)
-    sparse_idx = np.flatnonzero(~dense_mask)
-    from repro.core.grouping import split_into_groups
-
-    radii = np.linalg.norm(xyz[sparse_idx], axis=1) if len(sparse_idx) else None
-    groups = (
-        split_into_groups(radii, params.effective_n_groups) if len(sparse_idx) else []
-    )
-    group_globals = [sparse_idx[g] for g in groups]
-
-    # Dense component: intra vs chain-grid delta, smaller wins.
-    octree = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
-    intra_payload = octree.encode(xyz[dense_idx])
-    trial_models = _clone_models(context.occ_models)
-    delta_result = _encode_dense_delta(
-        xyz[dense_idx], params, context, ego, trial_models
-    )
-    if delta_result is not None and len(delta_result[0]) < len(intra_payload):
-        payload, codes, leaf_codes, leaf_counts, dense_origin = delta_result
-        dense_payload = bytes([MODE_DELTA]) + payload
-        context.occ_models = trial_models
-        dense_decoded = _leaf_points(
-            leaf_codes, leaf_counts, dense_origin, params.leaf_side
-        )
-        order = np.argsort(codes, kind="stable")
-        octree_mapping = np.empty(len(codes), dtype=np.int64)
-        octree_mapping[order] = np.arange(len(codes))
-    else:
-        dense_payload = bytes([MODE_INTRA]) + intra_payload
-        dense_decoded = octree.decode(intra_payload)
-        dense_origin = dense_payload_origin(intra_payload)
-        octree_mapping = octree.mapping(xyz[dense_idx]) if len(dense_idx) else None
-    sizes["dense"] = len(dense_payload)
-
-    mapping = np.empty(n, dtype=np.int64)
-    if octree_mapping is not None:
-        mapping[dense_idx] = octree_mapping
-
-    encodings = [
-        encode_group_payload(
-            xyz[gg], params, compressor.u_theta, compressor.u_phi, context, ego
-        )
-        for gg in group_globals
-    ]
-    outlier_global = [
-        gg[enc[1]] for gg, enc in zip(group_globals, encodings) if len(enc[1])
-    ]
-    outliers = (
-        np.concatenate(outlier_global) if outlier_global else np.empty(0, dtype=np.int64)
-    )
-    group_payloads: list[bytes] = []
-    groups_decoded: list[np.ndarray] = []
-    offset = len(dense_idx)
-    n_sparse_coded = 0
-    for group_global, (payload, _out_idx, order, enc_sizes, decoded) in zip(
-        group_globals, encodings
-    ):
-        group_payloads.append(payload)
-        groups_decoded.append(decoded)
-        for name, size in enc_sizes.items():
-            sizes[name] = sizes.get(name, 0) + size
-        ordered_global = group_global[order]
-        mapping[ordered_global] = offset + np.arange(len(ordered_global))
-        offset += len(ordered_global)
-        n_sparse_coded += len(ordered_global)
-    sizes["sparse"] = sum(len(p) for p in group_payloads)
-
-    outlier_payload, outlier_mapping = encode_outliers(xyz[outliers], params)
-    if len(outliers):
-        mapping[outliers] = offset + outlier_mapping
-    sizes["outlier"] = len(outlier_payload)
-    outlier_decoded = decode_outliers(outlier_payload, params)
-
-    attribute_payload = b""
-    if attributes:
-        attribute_payload = encode_attributes(
-            attributes, mapping, attribute_steps, backend=params.entropy_backend
-        )
-        sizes["attributes"] = len(attribute_payload)
-
-    payload = pack_container_v3(
-        params,
-        compressor.u_theta,
-        compressor.u_phi,
-        fingerprint,
-        ego,
-        dense_payload,
-        group_payloads,
-        outlier_payload,
-        attribute_payload,
-    )
-    context.observe(dense_decoded, groups_decoded, outlier_decoded, dense_origin)
-    return CompressionResult(
-        payload=payload,
-        n_points=n,
-        n_dense=len(dense_idx),
-        n_sparse=n_sparse_coded,
-        n_outliers=len(outliers),
-        mapping=mapping,
-        timings={},
-        stream_sizes=sizes,
-    )
-
-
-def decompress_delta(data: bytes, context: TemporalContext) -> PointCloud:
-    """Decompress a v3 delta frame against ``context`` and advance it.
-
-    Raises ``ValueError`` when the context has no predictor state or its
-    fingerprint does not match the frame's — the caller (e.g. the ingest
-    server) should treat the frame as undecodable and wait for the next
-    keyframe.
-    """
-    header, dense_payload, group_payloads, outlier_payload, _ = unpack_container(data)
-    if not header.is_delta:
-        raise ValueError("not a delta frame (use observe_intra)")
-    if not context.has_state:
-        raise ValueError("delta frame without predictor state")
-    if header.predictor_fingerprint != context.fingerprint():
-        raise ValueError(
-            "delta frame predictor fingerprint mismatch "
-            f"(frame {header.predictor_fingerprint:#010x}, "
-            f"context {context.fingerprint():#010x})"
-        )
-    params = header.to_params()
-    ego = header.ego_delta
-    if not dense_payload:
-        raise ValueError("truncated DBGC container")
-    mode = dense_payload[0]
-    body = dense_payload[1:]
-    if mode == MODE_DELTA:
-        dense, dense_origin = _decode_dense_delta(body, context, ego)
-    elif mode == MODE_INTRA:
-        dense = OctreeCodec(params.leaf_side).decode(body)
-        dense_origin = dense_payload_origin(body)
-    else:
-        raise ValueError(f"unknown dense mode byte {mode}")
-    groups = []
-    for group_payload in group_payloads:
-        if not group_payload:
-            raise ValueError("truncated DBGC container")
-        group_mode = group_payload[0]
-        group_body = group_payload[1:]
-        if group_mode == MODE_DELTA:
-            groups.append(
-                decode_sparse_group_delta(
-                    group_body, params, header.u_theta, header.u_phi, context, ego
-                )
-            )
-        elif group_mode == MODE_INTRA:
-            groups.append(
-                decode_sparse_group(group_body, params, header.u_theta, header.u_phi)
-            )
-        else:
-            raise ValueError(f"unknown group mode byte {group_mode}")
-    outliers = decode_outliers(outlier_payload, params)
-    context.observe(dense, groups, outliers, dense_origin)
-    return PointCloud(np.vstack([dense, *groups, outliers]))
-
-
-def observe_intra(context: TemporalContext, data: bytes) -> PointCloud:
-    """Decode an intra frame (v1/v2) and make it the predictor state.
-
-    Used by both sides: the writer after coding a keyframe, the stateful
-    reader / server for every non-delta frame.
-    """
-    header, dense_payload, group_payloads, outlier_payload, _ = unpack_container(data)
-    if header.is_delta:
-        raise ValueError("delta frame passed to observe_intra")
-    params = header.to_params()
-    version = header.version
-    dense = OctreeCodec(params.leaf_side).decode(dense_payload, version=version)
-    dense_origin = dense_payload_origin(dense_payload)
-    groups = [
-        decode_sparse_group(p, params, header.u_theta, header.u_phi, version=version)
-        for p in group_payloads
-    ]
-    outliers = decode_outliers(outlier_payload, params, version=version)
-    context.observe(dense, groups, outliers, dense_origin, keyframe=True)
-    return PointCloud(np.vstack([dense, *groups, outliers]))
 
 
 class TemporalDecoder:
@@ -997,9 +442,10 @@ class TemporalDecoder:
         self.context = TemporalContext()
 
     def decode(self, data: bytes) -> PointCloud:
-        if container_version(data) == 3:
-            return decompress_delta(data, self.context)
-        return observe_intra(self.context, data)
+        # Imported here: the frame codec imports this module.
+        from repro.core.pipeline import decode_frame
+
+        return decode_frame(data, self.context)
 
     def decode_with_attributes(
         self, data: bytes

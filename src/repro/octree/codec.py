@@ -143,6 +143,8 @@ class OctreeCodec:
         ox, oy, oz, leaf_side = _HEADER.unpack_from(data, pos)
         pos += _HEADER.size
         depth, pos = decode_uvarint(data, pos)
+        if depth > MAX_DEPTH_3D:
+            raise ValueError(f"octree depth {depth} exceeds {MAX_DEPTH_3D}")
         if version == 1:
             payload_len, pos = decode_uvarint(data, pos)
             leaf_codes = self._decode_occupancy_v1(data[pos : pos + payload_len], depth)
@@ -162,6 +164,8 @@ class OctreeCodec:
             counts = decode_tagged_ints(data[pos:], self.backend) + 1
         if counts.size != leaf_codes.size:
             raise ValueError("leaf count stream does not match occupancy tree")
+        if counts.sum() != n_points:
+            raise ValueError("leaf counts do not add up to the point count")
         ix, iy, iz = deinterleave3(leaf_codes)
         centers = np.column_stack(
             [

@@ -194,11 +194,12 @@ class DbgcClient:
         give each client of a fleet its own id.
     busy_backoff_s:
         How long to honor a server BUSY hint (the backpressure bit an
-        overloaded server sets on its ACKs): at ``window=1`` the sender
-        pauses this many seconds before the next transmit, and the link
-        counts as congested for the ``"coarsen"`` policy's
-        ``supports()`` check until the pause expires.  At ``window>1``
-        the hint halves the congestion window instead of pausing.
+        overloaded server sets on its ACKs): the link counts as congested
+        for the ``"coarsen"`` policy's ``supports()`` check until the
+        pause expires.  Each hint halves the AIMD congestion window; once
+        the effective window is at its floor of 1 — always, at
+        ``window=1`` — the sender also pauses this many seconds before
+        the next transmit, since there is nothing left to halve.
     window:
         Maximum unACKed frames in flight (selective repeat, protocol
         v2.2).  ``1`` (default) is the classic stop-and-wait behavior.
@@ -418,7 +419,7 @@ class DbgcClient:
                 if item is _CLOSE:
                     closing = True
                     break
-                if self.window == 1:
+                if self._window_now() == 1:
                     pause = self._busy_until - time.perf_counter()
                     if pause > 0:
                         # Server backpressure: slow down before transmit.
@@ -659,7 +660,7 @@ class DbgcClient:
         self._delayed_acks.clear()
 
     def _note_busy(self) -> None:
-        """Honor a server BUSY hint: mark congestion (and pause at W=1)."""
+        """Honor a server BUSY hint: mark congestion (and pause at the window floor)."""
         self._busy_until = time.perf_counter() + self.busy_backoff_s
         with self._lock:
             self.report.busy_hints += 1

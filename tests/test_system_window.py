@@ -279,6 +279,27 @@ class TestAimd:
             finally:
                 client.close()
 
+    def test_window_floor_pauses_on_busy(self):
+        # Every ACK is BUSY (any store latency exceeds a zero threshold),
+        # so the AIMD window halves 8 -> 4 -> 2 -> 1 within the first
+        # window of frames.  At the floor there is nothing left to halve:
+        # the client must pause like a window-1 client, one busy_backoff_s
+        # before each further transmit.
+        backoff = 0.1
+        with SqliteFrameStore() as store, DbgcServer(
+            store, mode="store", busy_threshold_s=0.0
+        ) as server:
+            client = DbgcClient(server.address, window=8, busy_backoff_s=backoff)
+            try:
+                traces = [client.send_payload(i, b"frame-%d" % i) for i in range(14)]
+            finally:
+                client.close()
+            assert all(t.status == "stored" for t in traces)
+        assert client._window_now() == 1
+        sent = [t.sent_at for t in traces[8:]]
+        gaps = [later - earlier for earlier, later in zip(sent, sent[1:])]
+        assert min(gaps) >= 0.9 * backoff, gaps
+
     def test_stale_busy_ack_hints_without_shrinking(self):
         with SqliteFrameStore() as store, DbgcServer(store) as server:
             client = self._client(server)

@@ -9,7 +9,6 @@ from repro.core.pipeline import DBGCCompressor
 from repro.core.temporal import (
     TemporalContext,
     TemporalDecoder,
-    decompress_delta,
 )
 from repro.datasets import SensorModel
 from repro.datasets.trajectories import generate_sequence, straight
@@ -117,7 +116,7 @@ class TestTemporalCodec:
         frames, trajectory = drive
         results = _compress_drive(frames, trajectory, sensor)
         with pytest.raises(ValueError, match="without predictor state"):
-            decompress_delta(results[1].payload, TemporalContext())
+            TemporalDecoder().decode(results[1].payload)
 
     def test_skipped_frame_breaks_fingerprint(self, drive, sensor):
         frames, trajectory = drive
@@ -132,6 +131,35 @@ class TestTemporalCodec:
         # The stream heals at the next keyframe.
         decoded = decoder.decode(results[4].payload)
         assert len(decoded) == len(frames[4])
+
+
+class TestMergedCodecPath:
+    """Delta frames run through the same frame codec as intra frames."""
+
+    def _drive(self, drive, sensor, **params):
+        frames, trajectory = drive
+        compressor = DBGCCompressor(
+            DBGCParams(q_xyz=Q_XYZ, temporal=True, keyframe_interval=8, **params),
+            sensor=sensor,
+        )
+        context = TemporalContext()
+        return [
+            compressor.compress_temporal(cloud, context, ego_delta=ego)
+            for cloud, ego in zip(frames, _ego_deltas(trajectory))
+        ]
+
+    def test_delta_frames_report_stage_timings(self, drive, sensor):
+        results = self._drive(drive, sensor)
+        for result in results[1:]:
+            assert container_version(result.payload) == 3
+            assert set(result.timings) == {"den", "oct", "cor", "org", "spa", "out"}
+            assert sum(result.timings.values()) > 0.0
+
+    def test_stage_pool_is_byte_identical(self, drive, sensor):
+        serial = self._drive(drive, sensor)
+        pooled = self._drive(drive, sensor, intra_frame_workers=4)
+        assert [r.payload for r in pooled] == [r.payload for r in serial]
+        assert sum(container_version(r.payload) == 3 for r in pooled) == 4
 
 
 class TestServerTemporalIngest:
