@@ -11,6 +11,11 @@ properties CI cares about:
 - the vectorized kernels actually pay for themselves: >= 2x over the
   oracles on a real organized scene.
 
+Two more rows time the fused arithmetic-coder loops against the
+class-API loops they replaced (``tests/oracles/``): the dense-delta
+occupancy-bit decoder, gated at >= 2x, and the int-sequence decoder,
+whose ratio is recorded without a gate.
+
 Timing loops are interleaved (fast/oracle alternating, min-of-N) so
 CPU-frequency drift cancels instead of biasing one side.
 """
@@ -22,9 +27,22 @@ import time
 import numpy as np
 
 from benchmarks.common import bench_sensor, frame, record_bench
+from repro.core.container import unpack_container
 from repro.core.params import DBGCParams
 from repro.core.pipeline import DBGCCompressor
+from repro.core.temporal import (
+    _DENSE_HEADER,
+    MODE_DELTA,
+    TemporalContext,
+    TemporalDecoder,
+    _decode_occupancy,
+    _fresh_models,
+    _pred_maps,
+)
 from repro.datasets import SensorModel, generate_frame
+from repro.datasets.trajectories import generate_sequence, straight
+from repro.entropy.arithmetic import decode_int_sequence, encode_int_sequence
+from repro.entropy.varint import decode_uvarint
 from repro.core.polyline import organize_polylines, organize_polylines_py
 from repro.core.reference import (
     decode_radial,
@@ -40,6 +58,8 @@ from repro.geometry.spherical import (
     cartesian_to_spherical,
     spherical_error_bounds,
 )
+from tests.oracles import arithmetic as arithmetic_oracle
+from tests.oracles import occupancy as occupancy_oracle
 
 #: Required advantage of the vectorized kernels over the ``*_py`` oracles.
 MIN_SPEEDUP = 2.0
@@ -195,4 +215,71 @@ def test_serial_parallel_byte_identity():
         wall_times_s={},
         sizes_bytes={"payload.q0.02": len(serial.payload)},
         point_counts={"frame.points": len(cloud)},
+    )
+
+
+def _delta_occupancy():
+    """The dense delta section of a real frame, as the decoder sees it.
+
+    ``(occupancy payload, predictor maps, depth, point count)`` of the
+    first delta frame of a straight kitti-road drive, at the sensor's
+    full benchmark resolution (like :func:`_sparse_group`).
+    """
+    sensor = SensorModel.benchmark_default()
+    trajectory = straight(2)
+    frames = generate_sequence("kitti-road", trajectory, sensor=sensor, seed=3)
+    compressor = DBGCCompressor(DBGCParams(temporal=True), sensor=sensor)
+    context = TemporalContext()
+    payloads = []
+    for i, cloud in enumerate(frames):
+        prev, cur = trajectory[max(0, i - 1)], trajectory[i]
+        ego = (cur[0] - prev[0], cur[1] - prev[1], 0.0)
+        payloads.append(compressor.compress_temporal(cloud, context, ego).payload)
+    decoder = TemporalDecoder()
+    decoder.decode(payloads[0])
+    header, dense, _, _, _ = unpack_container(payloads[1])
+    assert dense[0] == MODE_DELTA
+    body = dense[1:]
+    n_points, pos = decode_uvarint(body, 0)
+    ox, oy, oz, leaf = _DENSE_HEADER.unpack_from(body, pos)
+    depth, pos = decode_uvarint(body, pos + _DENSE_HEADER.size)
+    occ_len, pos = decode_uvarint(body, pos)
+    maps = _pred_maps(
+        decoder.context.prev_cloud, np.array([ox, oy, oz]), leaf, depth, header.ego_delta
+    )
+    return body[pos : pos + occ_len], maps, depth, n_points
+
+
+def test_fused_coder_speedup():
+    payload, maps, depth, n_points = _delta_occupancy()
+    occ_fast_s, occ_oracle_s, fast_leaves, oracle_leaves = _interleaved_best(
+        lambda: _decode_occupancy(payload, maps, depth, _fresh_models(), n_points),
+        lambda: occupancy_oracle._decode_occupancy(payload, maps, depth, {}, n_points),
+    )
+    assert np.array_equal(fast_leaves, oracle_leaves)
+
+    lines_d1, lines_d3, line_phis, th_phi_q, th_r_q = _radial_inputs()
+    nabla, _symbols = encode_radial(lines_d1, lines_d3, line_phis, th_phi_q, th_r_q)
+    ints = encode_int_sequence(nabla)
+    int_fast_s, int_oracle_s, fast_ints, oracle_ints = _interleaved_best(
+        lambda: decode_int_sequence(ints),
+        lambda: arithmetic_oracle.decode_int_sequence(ints),
+    )
+    assert np.array_equal(fast_ints, nabla) and np.array_equal(oracle_ints, nabla)
+
+    record_bench(
+        "kernels",
+        wall_times_s={
+            "occupancy_decode.fused": occ_fast_s,
+            "occupancy_decode.oracle": occ_oracle_s,
+            "int_sequence_decode.fused": int_fast_s,
+            "int_sequence_decode.oracle": int_oracle_s,
+        },
+        sizes_bytes={"occupancy_delta": len(payload), "int_sequence.nabla": len(ints)},
+        point_counts={"occupancy_delta.leaves": len(fast_leaves)},
+    )
+    speedup = occ_oracle_s / occ_fast_s
+    assert speedup >= MIN_SPEEDUP, (
+        f"fused occupancy-bit decoder only {speedup:.2f}x over the oracle "
+        f"(needs >= {MIN_SPEEDUP}x on {len(fast_leaves)} leaves)"
     )

@@ -478,10 +478,11 @@ def decode_frame(
     ego = header.ego_delta
     stage = recorder.span if recorder is not None else _untimed
 
+    occ_models = None
     with stage("dbgc.oct"):
         mode, body = _section(dense_payload, delta)
         if mode == MODE_DELTA:
-            dense, dense_origin = _decode_dense_delta(body, context, ego)
+            dense, dense_origin, occ_models = _decode_dense_delta(body, context, ego)
         else:
             dense = OctreeCodec(params.leaf_side).decode(body, version=version)
             dense_origin = dense_payload_origin(body) if context is not None else None
@@ -501,7 +502,9 @@ def decode_frame(
     with stage("dbgc.out"):
         outliers = decode_outliers(outlier_payload, params, version=version)
     if context is not None:
-        context.observe(dense, groups, outliers, dense_origin, keyframe=not delta)
+        context.observe(
+            dense, groups, outliers, dense_origin, keyframe=not delta, occ_models=occ_models
+        )
     return PointCloud(np.vstack([dense, *groups, outliers]))
 
 

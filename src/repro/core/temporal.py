@@ -43,9 +43,13 @@ from repro.core.attributes import decode_attributes
 from repro.core.container import unpack_container
 from repro.core.params import DBGCParams
 from repro.entropy.arithmetic import (
-    AdaptiveModel,
-    ArithmeticDecoder,
-    ArithmeticEncoder,
+    _HALF,
+    _LOW31,
+    _MASK,
+    _QUARTER,
+    _bit_source,
+    _emit_final,
+    _overread,
 )
 from repro.entropy.backend import decode_tagged_ints, encode_tagged_ints
 from repro.entropy.varint import decode_uvarint, encode_uvarint
@@ -73,6 +77,14 @@ KEYFRAME_MAX_VERSION = 2
 #: Adaptivity of the binary occupancy-bit models (faster than the intra
 #: byte model's 32 because each context sees far fewer symbols).
 _OCC_INCREMENT = 24
+#: A context's two counts are halved (rounding up) once they sum past this,
+#: as :class:`repro.entropy.arithmetic.AdaptiveModel` does.
+_OCC_MAX_TOTAL = 1 << 16
+#: Number of occupancy-bit contexts (see :func:`_level_contexts`).
+_N_CONTEXTS = 7 * 2 * 2 * 2 * 8 * 4 * 3
+_BITS = np.arange(8, dtype=np.int64)
+#: Popcount of every byte value (``np.bitwise_count`` needs numpy >= 2.0).
+_POPCOUNT = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
 #: Same ``(origin, leaf_side)`` header as the intra octree payload.
 _DENSE_HEADER = struct.Struct("<4d")
 
@@ -87,6 +99,9 @@ class TemporalContext:
     bit-for-bit), the dense grid origin the chain is snapped to, and the
     persistent occupancy-bit models.  ``reset()`` / keyframes clear the
     entropy models; the cloud itself is replaced every frame.
+
+    ``occ_models`` is internal: the zero and one counts of every
+    occupancy-bit context, two lists indexed by context id.
     """
 
     def __init__(self) -> None:
@@ -94,7 +109,7 @@ class TemporalContext:
         self.prev_cloud: np.ndarray | None = None
         self.prev_sparse: np.ndarray | None = None
         self.prev_dense_origin: np.ndarray | None = None
-        self.occ_models: dict[tuple, AdaptiveModel] = {}
+        self.occ_models = _fresh_models()
         self._fingerprint: int | None = None
 
     @property
@@ -106,7 +121,7 @@ class TemporalContext:
         self.prev_cloud = None
         self.prev_sparse = None
         self.prev_dense_origin = None
-        self.occ_models = {}
+        self.occ_models = _fresh_models()
         self._fingerprint = None
 
     def fingerprint(self) -> int:
@@ -130,10 +145,17 @@ class TemporalContext:
         outliers: np.ndarray,
         dense_origin: np.ndarray | None,
         keyframe: bool = False,
+        occ_models: tuple[list[int], list[int]] | None = None,
     ) -> None:
-        """Record one decoded frame as the predictor for the next."""
+        """Record one decoded frame as the predictor for the next.
+
+        ``occ_models`` are the occupancy-bit models after the frame's dense
+        delta section, committed here with the rest of the frame's state.
+        """
         if keyframe:
-            self.occ_models = {}
+            self.occ_models = _fresh_models()
+        elif occ_models is not None:
+            self.occ_models = occ_models
         chunks = [np.asarray(c, dtype=np.float64).reshape(-1, 3) for c in groups]
         dense = np.asarray(dense, dtype=np.float64).reshape(-1, 3)
         outliers = np.asarray(outliers, dtype=np.float64).reshape(-1, 3)
@@ -150,18 +172,14 @@ class TemporalContext:
         self._fingerprint = None
 
 
-def _clone_models(models: dict[tuple, AdaptiveModel]) -> dict[tuple, AdaptiveModel]:
-    """Deep-copy the adaptive models so a *trial* encode can be discarded."""
-    clone: dict[tuple, AdaptiveModel] = {}
-    for key, model in models.items():
-        fresh = AdaptiveModel(
-            model.num_symbols, increment=model.increment, max_total=model.max_total
-        )
-        fresh._freq = list(model._freq)
-        fresh.total = model.total
-        fresh._tree = list(model._tree)
-        clone[key] = fresh
-    return clone
+def _fresh_models() -> tuple[list[int], list[int]]:
+    """Zero and one counts of every context, each starting at 1."""
+    return [1] * _N_CONTEXTS, [1] * _N_CONTEXTS
+
+
+def _clone_models(models: tuple[list[int], list[int]]) -> tuple[list[int], list[int]]:
+    """Copy the models so a *trial* coding can be discarded."""
+    return list(models[0]), list(models[1])
 
 
 # -- dense (octree occupancy) delta coding ----------------------------------------
@@ -230,92 +248,169 @@ def _pred_maps(
     ]
 
 
-def _bit_context(level: int, e: int, d: int, m: int, b: int, decoded: int, dpop: int):
-    return (
-        level,
-        (e >> b) & 1,
-        (d >> b) & 1,
-        (m >> b) & 1,
-        b,
-        min(bin(decoded).count("1"), 2),
-        dpop,
-    )
+def _level_contexts(
+    level: int, pe: np.ndarray, pd: np.ndarray, pm: np.ndarray
+) -> np.ndarray:
+    """``(n, 8)`` context ids of each node's bits, less the decoded-bits term.
+
+    A bit's context is ``(min(level, 6), e_b, d_b, m_b, b, min(pop(d), 3),
+    min(pop(decoded), 2))``: bit ``b`` of the exact, dilated and
+    motion-compensated predictor bytes, the bit position, the dilated
+    byte's popcount and the popcount of the bits below ``b`` already coded.
+    The last term is the id's lowest digit, added while coding.
+    """
+    ids = np.minimum(level, 6) * 2 + ((pe[:, None] >> _BITS) & 1)
+    ids = ids * 2 + ((pd[:, None] >> _BITS) & 1)
+    ids = ids * 2 + ((pm[:, None] >> _BITS) & 1)
+    ids = (ids * 8 + _BITS) * 4 + np.minimum(_POPCOUNT[pd], 3)[:, None]
+    return ids * 3
 
 
 def _code_occupancy(
     occ: np.ndarray,
     pred_maps: list[list[tuple[np.ndarray, np.ndarray]]],
     depth: int,
-    models: dict[tuple, AdaptiveModel],
+    models: tuple[list[int], list[int]],
 ) -> bytes:
     """Context-code the occupancy stream; mutates ``models`` (pass a clone
-    for a trial encode and commit it only if delta mode is chosen)."""
-    encoder = ArithmeticEncoder()
+    for a trial encode and commit it only if delta mode is chosen).
+
+    The arithmetic coder of :func:`repro.entropy.arithmetic.arithmetic_encode`
+    over binary models, fused into one loop per level.
+    """
+    zeros, ones = models
+    out = bytearray()
+    acc = n_acc = 0
+    low, high, pending = 0, _MASK, 0
     nodes = np.zeros(1, dtype=np.int64)
     offset = 0
     for level in range(depth):
         n = len(nodes)
         level_occ = occ[offset : offset + n]
-        preds = [_predict_level(nodes, maps[level]) for maps in pred_maps]
-        level_bounded = min(level, 6)
-        pe, pd, pm = (p.tolist() for p in preds)
-        for i, byte in enumerate(level_occ.tolist()):
-            e, d, m = pe[i], pd[i], pm[i]
-            dpop = min(bin(d).count("1"), 3)
-            decoded = 0
-            for b in range(8):
-                bit = (byte >> b) & 1
-                ctx = _bit_context(level_bounded, e, d, m, b, decoded, dpop)
-                model = models.get(ctx)
-                if model is None:
-                    model = AdaptiveModel(2, increment=_OCC_INCREMENT)
-                    models[ctx] = model
-                cum_low, cum_high = model.cum_range(bit)
-                encoder.encode(cum_low, cum_high, model.total)
-                model.update(bit)
-                decoded |= bit << b
+        pe, pd, pm = (_predict_level(nodes, maps[level]) for maps in pred_maps)
+        ids = _level_contexts(level, pe, pd, pm)
+        # The decoded-bits term is known up front: the popcount of the
+        # bits below b.
+        ids += np.minimum(_POPCOUNT[level_occ[:, None] & ((1 << _BITS) - 1)], 2)
+        bits = (level_occ[:, None] >> _BITS) & 1
+        for ctx, bit in zip(ids.ravel().tolist(), bits.ravel().tolist()):
+            f0 = zeros[ctx]
+            f1 = ones[ctx]
+            split = low + (high - low + 1) * f0 // (f0 + f1)
+            if bit:
+                low = split
+                f1 += _OCC_INCREMENT
+            else:
+                high = split - 1
+                f0 += _OCC_INCREMENT
+            if f0 + f1 > _OCC_MAX_TOTAL:
+                f0 = (f0 + 1) >> 1
+                f1 = (f1 + 1) >> 1
+            zeros[ctx] = f0
+            ones[ctx] = f1
+            if high < _HALF or low >= _HALF:
+                k = 32 - (low ^ high).bit_length()
+                emit = low >> (32 - k)
+                if pending:
+                    emit += ((1 << pending) - 1) << (k - 1)
+                    acc <<= pending
+                    n_acc += pending
+                    pending = 0
+                acc = (acc << k) | emit
+                n_acc += k
+                low = (low << k) & _MASK
+                high = ((high << k) & _MASK) | ((1 << k) - 1)
+            if low & _QUARTER and not high & _QUARTER:
+                u = 31 - ((~low | high) & _LOW31).bit_length()
+                pending += u
+                low = (low << u) & _LOW31
+                high = _HALF | ((high << u) & _LOW31) | ((1 << u) - 1)
+            if n_acc >= 64:
+                rest = n_acc & 7
+                out += (acc >> rest).to_bytes(n_acc >> 3, "big")
+                acc &= (1 << rest) - 1
+                n_acc = rest
         nodes = expand_occupancy_level(nodes, level_occ.astype(np.uint8))
         offset += n
-    return encoder.finish()
+    return _emit_final(out, acc, n_acc, low, pending)
 
 
 def _decode_occupancy(
     payload: bytes,
     pred_maps: list[list[tuple[np.ndarray, np.ndarray]]],
     depth: int,
-    models: dict[tuple, AdaptiveModel],
+    models: tuple[list[int], list[int]],
     max_nodes: int,
 ) -> np.ndarray:
     """Mirror of :func:`_code_occupancy`; returns the leaf Morton codes.
 
-    No level of a valid tree holds more nodes than there are points, so a
-    level past ``max_nodes`` is corruption; stopping there keeps a bad
-    payload from growing the tree eightfold per level.
+    Mutates ``models``.  No level of a valid tree holds more nodes than
+    there are points, so a level past ``max_nodes`` is corruption;
+    stopping there keeps a bad payload from growing the tree eightfold per
+    level.  Like :func:`repro.entropy.arithmetic.arithmetic_decode`, it
+    raises once it reads more than 30 bits past the end of ``payload``.
     """
-    decoder = ArithmeticDecoder(payload)
+    zeros, ones = models
+    words, limit = _bit_source(payload)
+    # `value` is the code register minus low; it takes in the same bits.
+    value, next_word, buf, n_buf = words[0], 1, 0, 0
+    low, high = 0, _MASK
     nodes = np.zeros(1, dtype=np.int64)
     for level in range(depth):
-        n = len(nodes)
-        preds = [_predict_level(nodes, maps[level]) for maps in pred_maps]
-        level_bounded = min(level, 6)
-        pe, pd, pm = (p.tolist() for p in preds)
-        level_occ = np.empty(n, dtype=np.uint8)
-        for i in range(n):
-            e, d, m = pe[i], pd[i], pm[i]
-            dpop = min(bin(d).count("1"), 3)
-            decoded = 0
-            for b in range(8):
-                ctx = _bit_context(level_bounded, e, d, m, b, decoded, dpop)
-                model = models.get(ctx)
-                if model is None:
-                    model = AdaptiveModel(2, increment=_OCC_INCREMENT)
-                    models[ctx] = model
-                bit = decoder.decode_symbol(model)
-                decoded |= bit << b
-            level_occ[i] = decoded
-        nodes = expand_occupancy_level(nodes, level_occ)
+        pe, pd, pm = (_predict_level(nodes, maps[level]) for maps in pred_maps)
+        level_occ = bytearray()
+        byte = decoded_term = 0
+        bit = 1
+        for ctx in _level_contexts(level, pe, pd, pm).ravel().tolist():
+            ctx += decoded_term
+            f0 = zeros[ctx]
+            f1 = ones[ctx]
+            step = (high - low + 1) * f0 // (f0 + f1)
+            if value >= step:
+                low += step
+                value -= step
+                f1 += _OCC_INCREMENT
+                byte |= bit
+                if decoded_term < 2:
+                    decoded_term += 1
+            else:
+                high = low + step - 1
+                f0 += _OCC_INCREMENT
+            if f0 + f1 > _OCC_MAX_TOTAL:
+                f0 = (f0 + 1) >> 1
+                f1 = (f1 + 1) >> 1
+            zeros[ctx] = f0
+            ones[ctx] = f1
+            if bit == 128:
+                level_occ.append(byte)
+                byte = decoded_term = 0
+                bit = 1
+            else:
+                bit <<= 1
+            shift = 0
+            if high < _HALF or low >= _HALF:
+                shift = 32 - (low ^ high).bit_length()
+                low = (low << shift) & _MASK
+                high = ((high << shift) & _MASK) | ((1 << shift) - 1)
+            if low & _QUARTER and not high & _QUARTER:
+                u = 31 - ((~low | high) & _LOW31).bit_length()
+                low = (low << u) & _LOW31
+                high = _HALF | ((high << u) & _LOW31) | ((1 << u) - 1)
+                shift += u
+            if shift:
+                if n_buf < shift:
+                    if 32 * next_word - n_buf + shift > limit:
+                        raise _overread()
+                    buf = ((buf & ((1 << n_buf) - 1)) << 32) | words[next_word]
+                    next_word += 1
+                    n_buf += 32
+                n_buf -= shift
+                value = (value << shift) | ((buf >> n_buf) & ((1 << shift) - 1))
+        nodes = expand_occupancy_level(nodes, np.frombuffer(level_occ, dtype=np.uint8))
         if len(nodes) > max_nodes:
             raise ValueError("dense delta tree has more nodes than points")
+    if 32 * next_word - n_buf > limit:
+        raise _overread()
     return nodes
 
 
@@ -399,14 +494,16 @@ def _encode_dense_delta(
 
 def _decode_dense_delta(
     data: bytes, context: TemporalContext, ego_delta
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Inverse of :func:`_encode_dense_delta`; returns ``(points, origin)``.
+) -> tuple[np.ndarray, np.ndarray | None, tuple[list[int], list[int]] | None]:
+    """Inverse of :func:`_encode_dense_delta`.
 
-    Commits the occupancy-model updates into ``context.occ_models``.
+    Returns ``(points, origin, models)``: the occupancy models advanced on
+    a copy, for :meth:`TemporalContext.observe` to commit with the rest of
+    the frame, so a frame that fails later leaves ``context`` untouched.
     """
     n_points, pos = decode_uvarint(data, 0)
     if n_points == 0:
-        return np.empty((0, 3), dtype=np.float64), None
+        return np.empty((0, 3), dtype=np.float64), None, None
     if context.prev_cloud is None:
         raise ValueError("delta frame without predictor state")
     ox, oy, oz, leaf = _DENSE_HEADER.unpack_from(data, pos)
@@ -419,15 +516,14 @@ def _decode_dense_delta(
     occ_payload = data[pos : pos + occ_len]
     pos += occ_len
     maps = _pred_maps(context.prev_cloud, origin, leaf, depth, ego_delta)
-    leaf_codes = _decode_occupancy(
-        occ_payload, maps, depth, context.occ_models, n_points
-    )
+    models = _clone_models(context.occ_models)
+    leaf_codes = _decode_occupancy(occ_payload, maps, depth, models, n_points)
     counts = decode_tagged_ints(data[pos:]) + 1
     if counts.size != leaf_codes.size:
         raise ValueError("leaf count stream does not match occupancy tree")
     if counts.sum() != n_points:
         raise ValueError("leaf counts do not add up to the point count")
-    return _leaf_points(leaf_codes, counts, origin, leaf), origin
+    return _leaf_points(leaf_codes, counts, origin, leaf), origin, models
 
 
 class TemporalDecoder:

@@ -20,6 +20,8 @@ also guards the recipe that would be needed to re-record the goldens.
 import hashlib
 import json
 import struct
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +174,24 @@ class TestGoldenTemporal:
             assert len(cloud) == frame["points"]
             assert _digest(cloud) == frame["sha256"]
 
+    def test_failed_frame_leaves_context_untouched(self, recorded):
+        # A delta frame that fails late (its outlier section cut in half)
+        # must not advance the occupancy models: the intact frame decodes
+        # next, and the chain goes on.
+        blobs, frames = recorded
+        header, dense, groups, outlier, attributes = unpack_container(blobs[1])
+        broken = pack_container_v3(
+            header.to_params(), header.u_theta, header.u_phi,
+            header.predictor_fingerprint, header.ego_delta,
+            dense, groups, outlier[: len(outlier) // 2], attributes,
+        )
+        decoder = TemporalDecoder()
+        decoder.decode(blobs[0])
+        with pytest.raises(ValueError):
+            decoder.decode(broken)
+        for blob, frame in zip(blobs[1:], frames[1:]):
+            assert _digest(decoder.decode(blob)) == frame["sha256"]
+
     def test_section_modes_are_recorded(self, recorded):
         # Pins the fixture to the delta path: a re-recorded fixture whose
         # sections had all turned intra would still pass the byte and
@@ -227,6 +247,21 @@ def _with_dense_header(blob: bytes, **changes) -> bytes:
     return pack_container(params, header.u_theta, header.u_phi, *sections)
 
 
+def _with_occupancy_count(blob: bytes, n_occupancy: int) -> bytes:
+    """The v2 ``blob`` with its dense section's ``n_occupancy`` replaced."""
+    header, dense, groups, outlier, attributes = unpack_container(blob)
+    _, pos = decode_uvarint(dense, 0)
+    _, pos = decode_uvarint(dense, pos + _DENSE_FIXED.size)
+    _, end = decode_uvarint(dense, pos)
+    out = bytearray(dense[:pos])
+    encode_uvarint(n_occupancy, out)
+    out += dense[end:]
+    return pack_container(
+        header.to_params(), header.u_theta, header.u_phi,
+        bytes(out), groups, outlier, attributes,
+    )
+
+
 class TestDenseHeaderMutations:
     """Both dense decoders reject a header that disagrees with its tree.
 
@@ -257,6 +292,23 @@ class TestDenseHeaderMutations:
         blob = _with_dense_header(v2_blob, n_points=n_points + 1)
         with pytest.raises(ValueError, match="point count"):
             DBGCDecompressor().decompress(blob)
+
+    def test_v2_inflated_occupancy_count_rejected_fast(self, v2_blob):
+        # The occupancy decoder stops at the end of its stream instead of
+        # decoding (and allocating) the claimed count from phantom bits.
+        assert _with_occupancy_count(v2_blob, 1586) == v2_blob
+        blob = _with_occupancy_count(v2_blob, 3_000_000)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ValueError, match="past its end"):
+                DBGCDecompressor().decompress(blob)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 4 << 20
 
     def test_v3_point_count_mismatch_rejected(self, drive):
         n_points = _dense_header(drive[1])["n_points"]
