@@ -9,8 +9,6 @@ method ~2x faster again with nearly the same dense set.
 
 import time
 
-import numpy as np
-
 from benchmarks.common import frame, write_result
 from repro.core import DBGCParams, cluster_approx, cluster_dbscan, cluster_exact
 from repro.eval import render_table

@@ -13,6 +13,9 @@ import time
 
 import numpy as np
 
+from benchmarks.ablation_codecs.bitpacking import bitpack_encode
+from benchmarks.ablation_codecs.golomb import rice_encode
+from benchmarks.ablation_codecs.predictive import sprintz_encode
 from benchmarks.common import frame, write_result
 from repro.core import DBGCParams
 from repro.core.clustering import cluster_approx
@@ -21,11 +24,8 @@ from repro.core.polyline import organize_polylines
 from repro.datasets import SensorModel
 from repro.entropy.arithmetic import encode_int_sequence
 from repro.entropy.backend import get_backend
-from repro.entropy.bitpacking import bitpack_encode
 from repro.entropy.deflate import deflate_compress
-from repro.entropy.golomb import rice_encode
 from repro.entropy.huffman import huffman_compress
-from repro.entropy.predictive import sprintz_encode
 from repro.entropy.varint import encode_varints
 from repro.eval import render_table
 from repro.geometry.spherical import cartesian_to_spherical, spherical_error_bounds

@@ -106,7 +106,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
         q_xyz=args.q,
         strict_cartesian=args.strict,
         entropy_backend=args.entropy_backend,
-        intra_frame_workers=args.intra_frame_workers,
     )
     compressor = DBGCCompressor(params, sensor=_sensor_from_args(args))
     start = time.perf_counter()
@@ -574,14 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default="",
         help="write an observability JSON report to PATH ('-' for stdout)",
-    )
-    p.add_argument(
-        "--intra-frame-workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for the independent stages inside the frame "
-        "(payloads stay byte-identical; 1 = serial)",
     )
     _add_sensor_arg(p)
     p.set_defaults(func=_cmd_compress)

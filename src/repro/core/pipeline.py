@@ -24,8 +24,6 @@ permutation, recomputable at compression time without costing stream bits.
 from __future__ import annotations
 
 import contextlib
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,28 +53,6 @@ from repro.geometry.points import PointCloud
 from repro.octree.codec import OctreeCodec
 
 __all__ = ["CompressionResult", "DBGCCompressor", "DBGCDecompressor", "decode_frame"]
-
-# One stage pool per process, shared by every compressor (and, under
-# ParallelFrameCompressor, by every frame a worker process handles), so
-# intra-frame parallelism never multiplies thread counts per compressor.
-_STAGE_POOL: ThreadPoolExecutor | None = None
-_STAGE_POOL_WORKERS = 0
-_STAGE_POOL_LOCK = threading.Lock()
-
-
-def _stage_pool(workers: int) -> ThreadPoolExecutor:
-    """The shared intra-frame stage pool, grown (never shrunk) on demand."""
-    global _STAGE_POOL, _STAGE_POOL_WORKERS
-    with _STAGE_POOL_LOCK:
-        if _STAGE_POOL is None or _STAGE_POOL_WORKERS < workers:
-            if _STAGE_POOL is not None:
-                _STAGE_POOL.shutdown(wait=False)
-            _STAGE_POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="dbgc-stage"
-            )
-            _STAGE_POOL_WORKERS = workers
-        return _STAGE_POOL
-
 
 @dataclass
 class CompressionResult:
@@ -261,67 +237,34 @@ class DBGCCompressor:
             )
             group_globals = [sparse_idx[g] for g in groups]
 
-            # The dense octree, each radial sparse group, and the outlier
-            # codec produce independent byte streams; the closures below run
-            # either inline (serial) or on the shared stage pool.  Worker
-            # threads attach to the compress root so the span tree keeps the
-            # serial shape, and the payloads are byte-identical either way —
-            # only the schedule changes.
-            def encode_dense():
-                """``(section, mapping, predictor points, grid origin)``."""
-                with recorder.span("dbgc.oct"):
-                    octree = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
-                    dense_xyz = xyz[dense_idx]
-                    dense_payload = octree.encode(dense_xyz)
-                    if context is not None:
-                        delta = _encode_dense_delta(
-                            dense_xyz, params, context, ego_delta, len(dense_payload)
-                        )
-                        if delta is not None:
-                            return (bytes([MODE_DELTA]) + delta[0], *delta[1:])
-                    octree_mapping = octree.mapping(dense_xyz) if len(dense_idx) else None
-                    if context is None:
-                        return dense_payload, octree_mapping, None, None
-                    # Intra wins: the predictor is its decode, as on the
-                    # decoder side.
-                    return (
-                        bytes([MODE_INTRA]) + dense_payload,
-                        octree_mapping,
-                        octree.decode(dense_payload),
-                        dense_payload_origin(dense_payload),
+            with recorder.span("dbgc.oct"):
+                octree = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
+                dense_xyz = xyz[dense_idx]
+                dense_payload = octree.encode(dense_xyz)
+                delta = None
+                if context is not None:
+                    delta = _encode_dense_delta(
+                        dense_xyz, params, context, ego_delta, len(dense_payload)
                     )
+                if delta is not None:
+                    dense_payload = bytes([MODE_DELTA]) + delta[0]
+                    octree_mapping, dense_points, dense_origin = delta[1:]
+                else:
+                    octree_mapping = octree.mapping(dense_xyz) if len(dense_idx) else None
+                    dense_points = dense_origin = None
+                    if context is not None:
+                        # Intra wins: the predictor is its decode, as on the
+                        # decoder side.
+                        dense_points = octree.decode(dense_payload)
+                        dense_origin = dense_payload_origin(dense_payload)
+                        dense_payload = bytes([MODE_INTRA]) + dense_payload
 
-            def encode_group(group_global: np.ndarray):
-                return encode_sparse_group(
-                    xyz[group_global], params, self.u_theta, self.u_phi, sparse_predictor
+            encodings = [
+                encode_sparse_group(
+                    xyz[gg], params, self.u_theta, self.u_phi, sparse_predictor
                 )
-
-            def encode_out(outlier_xyz: np.ndarray) -> tuple[bytes, np.ndarray]:
-                with recorder.span("dbgc.out"):
-                    return encode_outliers(outlier_xyz, params)
-
-            parallel = params.intra_frame_workers > 1
-            if parallel:
-                pool = _stage_pool(
-                    min(params.intra_frame_workers, 1 + max(1, len(group_globals)))
-                )
-
-                def staged(fn, *args):
-                    def task():
-                        with recorder.attach(root):
-                            return fn(*args)
-
-                    return pool.submit(task)
-
-                dense_future = staged(encode_dense)
-                group_futures = [staged(encode_group, gg) for gg in group_globals]
-                dense_payload, octree_mapping, dense_points, dense_origin = (
-                    dense_future.result()
-                )
-                encodings = [future.result() for future in group_futures]
-            else:
-                dense_payload, octree_mapping, dense_points, dense_origin = encode_dense()
-                encodings = [encode_group(gg) for gg in group_globals]
+                for gg in group_globals
+            ]
 
             mapping = np.empty(n, dtype=np.int64)
             if octree_mapping is not None:
@@ -339,9 +282,6 @@ class DBGCCompressor:
                 if outlier_global
                 else np.empty(0, dtype=np.int64)
             )
-            # Kick off the outlier stage before the mapping bookkeeping so
-            # it overlaps with the scatter updates below.
-            out_future = staged(encode_out, xyz[outliers]) if parallel else None
 
             group_payloads: list[bytes] = []
             offset = len(dense_idx)
@@ -362,9 +302,8 @@ class DBGCCompressor:
             recorder.add_bytes("stream.sparse", sizes["sparse"])
             recorder.count("compress.points_sparse", n_sparse_coded)
 
-            outlier_payload, outlier_mapping = (
-                out_future.result() if out_future is not None else encode_out(xyz[outliers])
-            )
+            with recorder.span("dbgc.out"):
+                outlier_payload, outlier_mapping = encode_outliers(xyz[outliers], params)
             if len(outliers):
                 mapping[outliers] = offset + outlier_mapping
             sizes["outlier"] = len(outlier_payload)

@@ -9,23 +9,20 @@ within ``2 * u_theta`` of the current end, the one closest in 3D.
 Points that never join a line of length >= 2 are the *outliers* handed to
 the outlier compressor.
 
-Two implementations produce identical output:
+:func:`organize_polylines` sorts points by theta once and groups them
+into polar bands of width ``u_phi``; a line's candidate window is then a
+contiguous run of each band's theta-sorted position list, tracked by
+monotone pointers as the walk advances, with an alive bitmask for claimed
+points.  The common single-candidate step needs no distance computation
+at all; multi-candidate blocks fall back to the same vectorized
+squared-distance argmin the oracle uses.
 
-- :func:`organize_polylines` — the production kernel.  Points are sorted
-  by theta once and grouped into polar bands of width ``u_phi``; a line's
-  candidate window is then a contiguous run of each band's theta-sorted
-  position list, tracked by monotone pointers as the walk advances, with
-  an alive bitmask for claimed points.  The common single-candidate step
-  needs no distance computation at all; multi-candidate blocks fall back
-  to the same vectorized squared-distance argmin the oracle uses.
-- :func:`organize_polylines_py` — the original per-point loop over a
-  bucketed angular index, kept as the byte-identity oracle for tests and
-  the perf-regression benchmarks.
-
-Ties in the closest-point argmin are broken exactly like the oracle's
-candidate enumeration order (theta bucket, phi bucket, original index),
-so both functions return the same polylines on every input, including
-duplicate ``(theta, phi)`` points.
+The oracle is the original per-point loop over a bucketed angular index,
+kept in ``tests/oracles/polyline.py`` for the byte-identity tests and the
+perf-regression benchmarks.  Ties in the closest-point argmin are broken
+exactly like the oracle's candidate enumeration order (theta bucket, phi
+bucket, original index), so both return the same polylines on every
+input, including duplicate ``(theta, phi)`` points.
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["organize_polylines", "organize_polylines_py"]
+__all__ = ["organize_polylines"]
 
 
 def _validate(theta: np.ndarray, u_theta: float, u_phi: float) -> None:
@@ -127,7 +124,7 @@ def organize_polylines(
         3-term reduction associates as ``(dx2 + dz2) + dy2`` (SIMD lane
         order); the scalar arithmetic here mirrors that association so
         near-tie selections round identically.  The byte-identity tests
-        against :func:`organize_polylines_py` pin this on every scene.
+        against the oracle pin this on every scene.
         """
         ex, ey, ez = xyz_l[end]
         best = -1
@@ -224,117 +221,4 @@ def organize_polylines(
             t_end = theta_l[nxt]
 
         polylines.append(order[np.fromiter(line, dtype=np.int64, count=len(line))])
-    return polylines
-
-
-class _AngularIndex:
-    """Bucketed index over (theta, phi) with lazy deletion (oracle only)."""
-
-    def __init__(self, theta: np.ndarray, phi: np.ndarray, u_theta: float, u_phi: float):
-        self.theta = theta
-        self.phi = phi
-        self.bin_theta = 2.0 * u_theta
-        self.bin_phi = 2.0 * u_phi
-        bt = np.floor(theta / self.bin_theta).astype(np.int64)
-        bp = np.floor(phi / self.bin_phi).astype(np.int64)
-        self._bt = bt
-        self._bp = bp
-        self.alive = np.ones(len(theta), dtype=bool)
-        self._buckets: dict[tuple[int, int], list[int]] = {}
-        for i in range(len(theta)):
-            self._buckets.setdefault((int(bt[i]), int(bp[i])), []).append(i)
-
-    def kill(self, index: int) -> None:
-        self.alive[index] = False
-
-    def candidates(
-        self,
-        theta_lo: float,
-        theta_hi: float,
-        phi_lo: float,
-        phi_hi: float,
-    ) -> list[int]:
-        """Alive points with theta in (theta_lo, theta_hi] and phi in range."""
-        bt_lo = int(np.floor(theta_lo / self.bin_theta))
-        bt_hi = int(np.floor(theta_hi / self.bin_theta))
-        bp_lo = int(np.floor(phi_lo / self.bin_phi))
-        bp_hi = int(np.floor(phi_hi / self.bin_phi))
-        theta = self.theta
-        phi = self.phi
-        alive = self.alive
-        found = []
-        for bt in range(bt_lo, bt_hi + 1):
-            for bp in range(bp_lo, bp_hi + 1):
-                for i in self._buckets.get((bt, bp), ()):
-                    if (
-                        alive[i]
-                        and theta_lo < theta[i] <= theta_hi
-                        and phi_lo <= phi[i] <= phi_hi
-                    ):
-                        found.append(i)
-        return found
-
-
-def organize_polylines_py(
-    theta: np.ndarray,
-    phi: np.ndarray,
-    xyz: np.ndarray,
-    u_theta: float,
-    u_phi: float,
-) -> list[np.ndarray]:
-    """Reference per-point loop implementation (the byte-identity oracle).
-
-    Same contract as :func:`organize_polylines`; kept for the kernel
-    regression tests and the perf benchmarks that assert the vectorized
-    version's speedup.
-    """
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    xyz = np.asarray(xyz, dtype=np.float64)
-    _validate(theta, u_theta, u_phi)
-    n = len(theta)
-    if n == 0:
-        return []
-    index = _AngularIndex(theta, phi, u_theta, u_phi)
-    polylines: list[np.ndarray] = []
-
-    def extend(end: int, phi_lo: float, phi_hi: float, direction: int) -> int | None:
-        """Best next point right (direction=+1) or left (-1) of ``end``."""
-        t_end = theta[end]
-        if direction > 0:
-            cands = index.candidates(t_end, t_end + 2.0 * u_theta, phi_lo, phi_hi)
-        else:
-            cands = index.candidates(t_end - 2.0 * u_theta, t_end, phi_lo, phi_hi)
-            cands = [c for c in cands if theta[c] < t_end]
-        if not cands:
-            return None
-        deltas = xyz[cands] - xyz[end]
-        return cands[int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))]
-
-    for seed in range(n):
-        if not index.alive[seed]:
-            continue
-        index.kill(seed)
-        line = deque([seed])
-        phi_lo = phi[seed] - u_phi
-        phi_hi = phi[seed] + u_phi
-        # Extend to the right...
-        current = seed
-        while True:
-            nxt = extend(current, phi_lo, phi_hi, +1)
-            if nxt is None:
-                break
-            index.kill(nxt)
-            line.append(nxt)
-            current = nxt
-        # ...then to the left (paper: both routines are symmetric).
-        current = seed
-        while True:
-            nxt = extend(current, phi_lo, phi_hi, -1)
-            if nxt is None:
-                break
-            index.kill(nxt)
-            line.appendleft(nxt)
-            current = nxt
-        polylines.append(np.fromiter(line, dtype=np.int64, count=len(line)))
     return polylines

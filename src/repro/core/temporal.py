@@ -116,14 +116,6 @@ class TemporalContext:
     def has_state(self) -> bool:
         return self.prev_cloud is not None
 
-    def reset(self) -> None:
-        self.frames_coded = 0
-        self.prev_cloud = None
-        self.prev_sparse = None
-        self.prev_dense_origin = None
-        self.occ_models = _fresh_models()
-        self._fingerprint = None
-
     def fingerprint(self) -> int:
         """CRC-32 of the predictor cloud bytes (0 when no state).
 

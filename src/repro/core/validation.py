@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.container import unpack_container
-from repro.core.params import DBGCParams
 from repro.core.pipeline import DBGCCompressor, DBGCDecompressor
 from repro.geometry.points import PointCloud
 

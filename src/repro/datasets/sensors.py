@@ -86,11 +86,6 @@ class SensorModel:
         return np.deg2rad(90.0 - elevations)
 
     @property
-    def theta_range(self) -> tuple[float, float]:
-        """(theta_min, theta_max) over a revolution."""
-        return 0.0, 2.0 * np.pi
-
-    @property
     def phi_range(self) -> tuple[float, float]:
         """(phi_min, phi_max) across the beams."""
         angles = self.phi_angles

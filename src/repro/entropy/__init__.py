@@ -8,7 +8,6 @@ codec libraries:
 
 - :mod:`~repro.entropy.bitio` — MSB-first bit readers/writers.
 - :mod:`~repro.entropy.varint` — LEB128 varints and zigzag mapping.
-- :mod:`~repro.entropy.rle` — byte run-length coding.
 - :mod:`~repro.entropy.arithmetic` — adaptive arithmetic coder over a
   Fenwick-tree frequency model.
 - :mod:`~repro.entropy.huffman` — canonical Huffman codec for byte streams.
@@ -44,7 +43,6 @@ from repro.entropy.deflate import deflate_compress, deflate_decompress
 from repro.entropy.huffman import huffman_compress, huffman_decompress
 from repro.entropy.lz77 import lz77_compress_tokens, lz77_decompress_tokens
 from repro.entropy.rans import rans_decode, rans_encode
-from repro.entropy.rle import rle_decode, rle_encode
 from repro.entropy.varint import (
     decode_varints,
     encode_varints,
@@ -81,8 +79,6 @@ __all__ = [
     "rans_decode",
     "rans_encode",
     "register_backend",
-    "rle_decode",
-    "rle_encode",
     "zigzag_decode",
     "zigzag_encode",
 ]

@@ -122,6 +122,9 @@ def _decode_lengths_header(data: bytes, pos: int) -> tuple[dict[int, int], int]:
     for _ in range(n):
         symbol, pos = decode_uvarint(data, pos)
         length, pos = decode_uvarint(data, pos)
+        # A byte alphabet's Huffman tree is at most 255 levels deep.
+        if symbol > 255 or not 1 <= length <= 255:
+            raise ValueError("corrupt Huffman header")
         lengths[symbol] = length
     return lengths, pos
 
@@ -150,6 +153,9 @@ def huffman_decompress(data: bytes) -> bytes:
     if count == 0:
         return b""
     lengths, pos = _decode_lengths_header(data, pos)
+    # Every code is at least one bit long.
+    if count > 8 * (len(data) - pos):
+        raise ValueError("Huffman symbol count exceeds the stream")
     decoder = _CanonicalDecoder(lengths)
     reader = BitReader(data[pos:])
     out = bytearray(count)

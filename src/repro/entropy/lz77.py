@@ -110,6 +110,8 @@ def lz77_decompress_tokens(tokens: Lz77Tokens) -> bytes:
             length, match_pos = decode_uvarint(matches, match_pos)
             offset, match_pos = decode_uvarint(matches, match_pos)
             length += MIN_MATCH
+            if length > MAX_MATCH:
+                raise ValueError("corrupt LZ77 stream: match longer than MAX_MATCH")
             if offset <= 0 or offset > len(out):
                 raise ValueError("corrupt LZ77 stream: bad offset")
             start = len(out) - offset

@@ -7,7 +7,7 @@ the arithmetic/Huffman back-ends can then squeeze further.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -110,8 +110,3 @@ def decode_varints(data: bytes, count: int, signed: bool = True) -> np.ndarray:
     if signed:
         return zigzag_decode(values)
     return values.astype(np.int64)
-
-
-def varint_byte_stream(values: Sequence[int] | np.ndarray, signed: bool = True) -> bytes:
-    """Alias of :func:`encode_varints` named for its role as a byte stream."""
-    return encode_varints(values, signed=signed)

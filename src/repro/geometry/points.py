@@ -29,8 +29,7 @@ class PointCloud:
     Notes
     -----
     The container is deliberately immutable: codecs hand point clouds around
-    freely and rely on them not changing underneath.  Use
-    :meth:`with_points` to derive a modified cloud.
+    freely and rely on them not changing underneath.
     """
 
     __slots__ = ("_xyz",)
@@ -77,10 +76,6 @@ class PointCloud:
     def from_columns(cls, x: np.ndarray, y: np.ndarray, z: np.ndarray) -> "PointCloud":
         """Build a cloud from three coordinate columns of equal length."""
         return cls(np.column_stack([x, y, z]))
-
-    def with_points(self, xyz: np.ndarray) -> "PointCloud":
-        """Return a new cloud holding ``xyz`` (same type, fresh data)."""
-        return PointCloud(xyz)
 
     # -- accessors -------------------------------------------------------------
 

@@ -89,10 +89,6 @@ class Span:
         """Summed duration of all spans named ``name`` in this subtree."""
         return sum(s.duration for s in self.iter_spans() if s.name == name)
 
-    def total_bytes(self, tag: str) -> int:
-        """Summed byte counter ``tag`` over this subtree."""
-        return sum(s.bytes.get(tag, 0) for s in self.iter_spans())
-
     def to_dict(self) -> dict:
         """JSON-able form (see docs/OBSERVABILITY.md for the schema)."""
         node: dict = {"name": self.name, "duration_s": self.duration}
@@ -126,9 +122,6 @@ class _NoopSpan:
 
     def total(self, name: str) -> float:
         return 0.0
-
-    def total_bytes(self, tag: str) -> int:
-        return 0
 
 
 _NOOP = _NoopSpan()
@@ -176,19 +169,6 @@ class Recorder:
         """A new span; use as a context manager."""
         return Span(name, self)
 
-    def attach(self, parent: Span) -> "_Attach":
-        """Adopt ``parent`` as the current thread's span-stack base.
-
-        For worker threads running stages on behalf of another thread's
-        open span (the intra-frame stage pool): inside the ``with`` block
-        this recorder becomes the thread's ambient recorder and new spans
-        become children of ``parent``, so a parallel frame produces the
-        same span-tree shape as a serial one.  ``parent.children`` is
-        appended from multiple threads, which is safe under the GIL; child
-        order across stages is unspecified, durations and totals are not.
-        """
-        return _Attach(self, parent)
-
     def count(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the named counter."""
         with self._lock:
@@ -209,24 +189,6 @@ class Recorder:
 
     # -- queries -------------------------------------------------------
 
-    def iter_spans(self):
-        """Every recorded span, depth-first across all roots."""
-        with self._lock:
-            roots = list(self.roots)
-        for root in roots:
-            yield from root.iter_spans()
-
-    def total(self, name: str) -> float:
-        """Summed duration of all spans with the given name."""
-        return sum(s.duration for s in self.iter_spans() if s.name == name)
-
-    def span_totals(self) -> dict[str, float]:
-        """Total seconds per span name over the whole forest."""
-        totals: dict[str, float] = {}
-        for s in self.iter_spans():
-            totals[s.name] = totals.get(s.name, 0.0) + s.duration
-        return totals
-
     def byte_totals(self) -> dict[str, int]:
         """Total bytes per tag, from the ``bytes.<tag>`` counter mirrors."""
         with self._lock:
@@ -235,29 +197,6 @@ class Recorder:
                 for name, value in self.counters.items()
                 if name.startswith("bytes.")
             }
-
-
-class _Attach:
-    """Context manager backing :meth:`Recorder.attach`."""
-
-    __slots__ = ("_recorder", "_parent", "_prev_scoped", "_prev_stack")
-
-    def __init__(self, recorder: Recorder, parent: Span) -> None:
-        self._recorder = recorder
-        self._parent = parent
-        self._prev_scoped: Recorder | None = None
-        self._prev_stack: list | None = None
-
-    def __enter__(self) -> Recorder:
-        self._prev_scoped = getattr(_SCOPED, "recorder", None)
-        _SCOPED.recorder = self._recorder
-        self._prev_stack = getattr(self._recorder._stacks, "stack", None)
-        self._recorder._stacks.stack = [self._parent]
-        return self._recorder
-
-    def __exit__(self, *exc_info) -> None:
-        self._recorder._stacks.stack = self._prev_stack
-        _SCOPED.recorder = self._prev_scoped
 
 
 # -- ambient dispatch -------------------------------------------------------

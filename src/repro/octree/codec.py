@@ -147,7 +147,9 @@ class OctreeCodec:
             raise ValueError(f"octree depth {depth} exceeds {MAX_DEPTH_3D}")
         if version == 1:
             payload_len, pos = decode_uvarint(data, pos)
-            leaf_codes = self._decode_occupancy_v1(data[pos : pos + payload_len], depth)
+            leaf_codes = self._decode_occupancy_v1(
+                data[pos : pos + payload_len], depth, n_points
+            )
             pos += payload_len
             counts = decode_int_sequence(data[pos:], checksum=False) + 1
         else:
@@ -160,7 +162,7 @@ class OctreeCodec:
                 pos += payload_len
             else:
                 occupancy = np.empty(0, dtype=np.int64)
-            leaf_codes = self._expand_occupancy(occupancy, depth)
+            leaf_codes = self._expand_occupancy(occupancy, depth, n_points)
             counts = decode_tagged_ints(data[pos:], self.backend) + 1
         if counts.size != leaf_codes.size:
             raise ValueError("leaf count stream does not match occupancy tree")
@@ -176,7 +178,7 @@ class OctreeCodec:
         )
         return np.repeat(centers, counts, axis=0)
 
-    def _decode_occupancy_v1(self, payload: bytes, depth: int) -> np.ndarray:
+    def _decode_occupancy_v1(self, payload: bytes, depth: int, n_points: int) -> np.ndarray:
         """Legacy v1 occupancy: one sequential adaptive model, no tag byte."""
         nodes = np.zeros(1, dtype=np.int64)
         if depth == 0:
@@ -191,11 +193,17 @@ class OctreeCodec:
                 count=len(nodes),
             )
             nodes = expand_occupancy_level(nodes, occupancy)
+            if len(nodes) > n_points:
+                raise ValueError("octree level has more nodes than points")
         return nodes
 
     @staticmethod
-    def _expand_occupancy(occupancy: np.ndarray, depth: int) -> np.ndarray:
-        """Rebuild the leaf Morton codes from the flat occupancy stream."""
+    def _expand_occupancy(occupancy: np.ndarray, depth: int, n_points: int) -> np.ndarray:
+        """Rebuild the leaf Morton codes from the flat occupancy stream.
+
+        Every node of a valid tree holds a point, so a level with more
+        nodes than ``n_points`` is rejected before the next one grows.
+        """
         nodes = np.zeros(1, dtype=np.int64)
         offset = 0
         for _ in range(depth):
@@ -204,6 +212,8 @@ class OctreeCodec:
                 raise ValueError("occupancy stream shorter than the tree")
             offset += len(nodes)
             nodes = expand_occupancy_level(nodes, level.astype(np.uint8))
+            if len(nodes) > n_points:
+                raise ValueError("octree level has more nodes than points")
         if offset != occupancy.size:
             raise ValueError("occupancy stream longer than the tree")
         return nodes

@@ -38,9 +38,12 @@ __all__ = ["QuadtreeCodec"]
 _HEADER = struct.Struct("<3d")
 
 
-def _expand_level(node_codes: np.ndarray, occupancy: np.ndarray) -> np.ndarray:
+def _expand_level(node_codes: np.ndarray, occupancy: np.ndarray, n_points: int) -> np.ndarray:
+    """The next level's node codes; every node of a valid tree holds a point."""
     bits = np.unpackbits(occupancy.astype(np.uint8)[:, None], axis=1, bitorder="little")
     rows, child_index = np.nonzero(bits[:, :4])
+    if len(rows) > n_points:
+        raise ValueError("quadtree level has more nodes than points")
     return (node_codes[rows] << 2) | child_index.astype(np.int64)
 
 
@@ -124,6 +127,8 @@ class QuadtreeCodec:
         ox, oy, leaf_side = _HEADER.unpack_from(data, pos)
         pos += _HEADER.size
         depth, pos = decode_uvarint(data, pos)
+        if depth > MAX_DEPTH_2D:
+            raise ValueError(f"quadtree depth {depth} exceeds {MAX_DEPTH_2D}")
         if version == 1:
             payload_len, pos = decode_uvarint(data, pos)
             nodes = np.zeros(1, dtype=np.int64)
@@ -138,7 +143,7 @@ class QuadtreeCodec:
                         dtype=np.uint8,
                         count=len(nodes),
                     )
-                    nodes = _expand_level(nodes, occupancy)
+                    nodes = _expand_level(nodes, occupancy, n_points)
             pos += payload_len
             counts = decode_int_sequence(data[pos:], checksum=False) + 1
             if counts.size != nodes.size:
@@ -164,7 +169,7 @@ class QuadtreeCodec:
             if level.size != len(nodes):
                 raise ValueError("occupancy stream shorter than the tree")
             offset += len(nodes)
-            nodes = _expand_level(nodes, level.astype(np.uint8))
+            nodes = _expand_level(nodes, level.astype(np.uint8), n_points)
         if offset != occupancy.size:
             raise ValueError("occupancy stream longer than the tree")
         counts = decode_tagged_ints(data[pos:], self.backend) + 1

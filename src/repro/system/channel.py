@@ -25,9 +25,8 @@ class BandwidthShaper:
         Fixed one-way latency in seconds.
     """
 
-    #: The paper's reference links.
+    #: The paper's reference uplink.
     MOBILE_4G_MBPS = 8.2
-    ETHERNET_100BASE_TX_MBPS = 100.0
 
     def __init__(self, bandwidth_mbps: float, latency_s: float = 0.0) -> None:
         if bandwidth_mbps <= 0:
@@ -41,11 +40,6 @@ class BandwidthShaper:
     def mobile_4g(cls) -> "BandwidthShaper":
         """The paper's 4G uplink (8.2 Mbps average upload [41])."""
         return cls(cls.MOBILE_4G_MBPS)
-
-    @classmethod
-    def ethernet(cls) -> "BandwidthShaper":
-        """The sensor-to-client wired link (100BASE-TX)."""
-        return cls(cls.ETHERNET_100BASE_TX_MBPS)
 
     def transfer_seconds(self, n_bytes: int) -> float:
         """Simulated one-way transfer time for a payload."""

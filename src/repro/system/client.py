@@ -33,7 +33,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field, replace
 from random import Random
-from typing import Iterable
 
 from repro.core.params import DBGCParams
 from repro.core.pipeline import DBGCCompressor
@@ -95,10 +94,6 @@ class _SendQueue:
         self.capacity = capacity
         self._items: deque = deque()
         self._cond = threading.Condition()
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._items)
 
     def full(self) -> bool:
         with self._cond:
@@ -339,12 +334,6 @@ class DbgcClient:
             self.report.add(trace)
         self._enqueue(_QueuedFrame(trace, payload), cloud=None)
         return trace
-
-    def send_stream(self, frames: Iterable[PointCloud]) -> PipelineReport:
-        """Send a whole frame stream and return the accumulated report."""
-        for index, cloud in enumerate(frames):
-            self.send_frame(index, cloud)
-        return self.report
 
     def _enqueue(self, item: _QueuedFrame, cloud: PointCloud | None) -> None:
         if self._closed:

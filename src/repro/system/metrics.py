@@ -52,10 +52,6 @@ class FrameTrace:
         return self.received_at - self.sent_at
 
     @property
-    def server_latency(self) -> float:
-        return self.stored_at - self.received_at
-
-    @property
     def total_latency(self) -> float:
         return self.stored_at - self.captured_at
 

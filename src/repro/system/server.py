@@ -503,12 +503,6 @@ class DbgcServer:
         return self._address
 
     @property
-    def active_clients(self) -> int:
-        """Connections currently being served."""
-        with self.lock:
-            return self._active
-
-    @property
     def peak_active_clients(self) -> int:
         """Most connections ever served at once (≤ ``max_clients``)."""
         with self.lock:

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.entropy.bitpacking import bitpack_decode, bitpack_encode
-from repro.entropy.golomb import rice_decode, rice_encode, rice_parameter_for
-from repro.entropy.predictive import (
+from benchmarks.ablation_codecs.bitpacking import bitpack_decode, bitpack_encode
+from benchmarks.ablation_codecs.golomb import rice_decode, rice_encode, rice_parameter_for
+from benchmarks.ablation_codecs.predictive import (
     delta2_decode,
     delta2_encode,
     sprintz_decode,

@@ -1,15 +1,10 @@
-"""Unit and property tests for repro.entropy.lz77 and rle."""
+"""Unit and property tests for repro.entropy.lz77."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.entropy import (
-    lz77_compress_tokens,
-    lz77_decompress_tokens,
-    rle_decode,
-    rle_encode,
-)
+from repro.entropy import lz77_compress_tokens, lz77_decompress_tokens
 from repro.entropy.lz77 import Lz77Tokens
 
 
@@ -77,23 +72,3 @@ class TestLz77:
     def test_periodic_roundtrip_property(self, unit, repeats):
         data = unit * repeats
         assert lz77_decompress_tokens(lz77_compress_tokens(data)) == data
-
-
-class TestRle:
-    def test_empty(self):
-        assert rle_decode(rle_encode(b"")) == b""
-
-    def test_runs(self):
-        data = b"aaabbbbbc"
-        encoded = rle_encode(data)
-        assert rle_decode(encoded) == data
-        assert len(encoded) == 6  # three (byte, len) pairs
-
-    def test_long_run_compact(self):
-        data = b"\x00" * 100000
-        assert len(rle_encode(data)) <= 4
-
-    @given(st.binary(max_size=1000))
-    @settings(max_examples=100, deadline=None)
-    def test_roundtrip_property(self, data):
-        assert rle_decode(rle_encode(data)) == data

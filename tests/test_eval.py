@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core import DBGCParams
 from repro.datasets import generate_frame, SensorModel
 from repro.eval import (
     DbgcGeometryCompressor,

@@ -13,19 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import DBGCParams
-from repro.core.polyline import organize_polylines, organize_polylines_py
+from repro.core.polyline import organize_polylines
 from repro.core.reference import (
     decode_radial,
     decode_radial_plain,
-    decode_radial_plain_py,
-    decode_radial_py,
     encode_radial,
     encode_radial_plain,
-    encode_radial_plain_py,
-    encode_radial_py,
 )
 from repro.core.sparse_codec import decode_sparse_group, encode_sparse_group
 from repro.geometry.spherical import spherical_to_cartesian
+from tests.oracles.polyline import organize_polylines_py
+from tests.oracles.reference import (
+    decode_radial_plain_py,
+    decode_radial_py,
+    encode_radial_plain_py,
+    encode_radial_py,
+)
 
 
 def _assert_same_lines(fast, oracle):

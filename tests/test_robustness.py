@@ -7,6 +7,7 @@ interpreter.  These tests flip bits, truncate, and shuffle real payloads.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,18 @@ from repro.baselines import (
 )
 from repro.core import DBGCCompressor, DBGCDecompressor, DBGCParams
 from repro.datasets import generate_frame
+from repro.entropy import (
+    arithmetic_encode,
+    deflate_decompress,
+    encode_tagged_symbols,
+    huffman_compress,
+    huffman_decompress,
+)
+from repro.entropy.deflate import _MODE_DEFLATE
+from repro.entropy.lz77 import MIN_MATCH
+from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry import PointCloud
+from repro.octree import OctreeCodec, QuadtreeCodec
 
 DECODE_ERRORS = (ValueError, IndexError, KeyError, StopIteration, struct.error, OverflowError)
 
@@ -140,3 +152,85 @@ class TestRoundTripUnderhandedInputs:
         decoded = DBGCDecompressor().decompress(result.payload)
         err = np.linalg.norm(decoded.xyz[result.mapping] - xyz, axis=1)
         assert err.max() <= np.sqrt(3) * params.q_xyz * (1 + 1e-6)
+
+
+def _raises_within(decode, data, peak_bytes):
+    """``decode(data)`` raises ValueError, allocating under ``peak_bytes``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            decode(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < peak_bytes
+
+
+def _full_tree_section(dims, version, depth):
+    """A one-point tree section whose every level claims all children full."""
+    fanout = 1 << dims
+    n_occupancy = (fanout**depth - 1) // (fanout - 1)
+    alphabet = 256 if dims == 3 else 16
+    symbols = np.full(n_occupancy, (1 << fanout) - 1, dtype=np.int64)
+    out = bytearray()
+    encode_uvarint(1, out)
+    out += struct.pack(f"<{dims + 1}d", *([0.0] * dims), 0.04)
+    encode_uvarint(depth, out)
+    if version == 1:
+        stream = arithmetic_encode(symbols, alphabet)
+    else:
+        encode_uvarint(n_occupancy, out)
+        stream = encode_tagged_symbols(symbols, alphabet, "rans")
+    encode_uvarint(len(stream), out)
+    return bytes(out) + stream
+
+
+class TestInflatedClaims:
+    """A count a payload claims never sizes the decoder's work or memory."""
+
+    @pytest.mark.parametrize(
+        "codec, dims, depth",
+        [(OctreeCodec(0.04), 3, 7), (QuadtreeCodec(0.04), 2, 10)],
+        ids=["octree", "quadtree"],
+    )
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_tree_levels_bounded_by_point_count(self, codec, dims, depth, version):
+        data = _full_tree_section(dims, version, depth)
+        _raises_within(lambda d: codec.decode(d, version=version), data, 16 << 20)
+
+    def test_quadtree_depth_beyond_morton_capacity_rejected(self):
+        # An empty v1 occupancy stream decodes one phantom level per
+        # claimed depth unless the depth is capped.
+        out = bytearray()
+        encode_uvarint(1, out)
+        out += struct.pack("<3d", 0.0, 0.0, 0.04)
+        encode_uvarint(10**5, out)
+        encode_uvarint(0, out)
+        with pytest.raises(ValueError, match="depth"):
+            QuadtreeCodec(0.04).decode(bytes(out), version=1)
+
+    def test_lz77_match_longer_than_max_rejected(self):
+        # One literal, then one overlapping match claiming 10^6 bytes.
+        matches = bytearray()
+        encode_uvarint(10**6 - MIN_MATCH, matches)
+        encode_uvarint(1, matches)
+        sections = [bytes([0b0100_0000]), huffman_compress(b"a"), huffman_compress(matches)]
+        body = bytearray([_MODE_DEFLATE])
+        encode_uvarint(2, body)
+        for section in sections:
+            encode_uvarint(len(section), body)
+        _raises_within(deflate_decompress, bytes(body) + b"".join(sections), 1 << 20)
+
+    def test_huffman_count_beyond_stream_rejected(self):
+        data = huffman_compress(b"ab" * 20)
+        _, pos = decode_uvarint(data, 0)
+        claimed = bytearray()
+        encode_uvarint(10**6, claimed)
+        _raises_within(huffman_decompress, bytes(claimed) + data[pos:], 1 << 20)
+
+    def test_huffman_code_length_out_of_range_rejected(self):
+        # count 1, one header entry: symbol 0 with a 10^6-bit code.
+        header = bytearray()
+        for value in (1, 1, 0, 10**6):
+            encode_uvarint(value, header)
+        _raises_within(huffman_decompress, bytes(header) + b"\x00", 1 << 20)

@@ -6,7 +6,7 @@ import pytest
 from repro.cli import main
 from repro.core import DBGCCompressor, DBGCParams
 from repro.core.validation import validate_stream
-from repro.datasets import SensorModel, generate_frame, save_npz
+from repro.datasets import SensorModel, generate_frame
 from repro.geometry import PointCloud
 
 
