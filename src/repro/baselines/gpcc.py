@@ -196,6 +196,7 @@ class GpccCompressor(GeometryCompressor):
             child_ctx = occupancy
             for i in present:
                 queue.append(((prefix << 3) | i, level + 1, child_ctx))
+        decoder.finish()
         tree_counts = decode_tagged_ints(counts_stream, self.backend) + 1
         if tree_counts.size != len(tree_leaf_slots):
             raise ValueError("leaf count stream does not match tree")

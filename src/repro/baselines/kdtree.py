@@ -138,6 +138,7 @@ class KdTreeCompressor(GeometryCompressor):
                 stack.append((n - n_left, right_cell, new_rem))
             if n_left:
                 stack.append((n_left, left_cell, new_rem))
+        decoder.finish()
         cells = np.array([c[:3] for c in out_cells], dtype=np.float64)
         counts = np.array([c[3] for c in out_cells], dtype=np.int64)
         centers = (cells + 0.5) * step + np.array([lx, ly, lz])

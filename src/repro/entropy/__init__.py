@@ -9,7 +9,7 @@ codec libraries:
 - :mod:`~repro.entropy.bitio` — MSB-first bit readers/writers.
 - :mod:`~repro.entropy.varint` — LEB128 varints and zigzag mapping.
 - :mod:`~repro.entropy.arithmetic` — adaptive arithmetic coder over a
-  Fenwick-tree frequency model.
+  blocked frequency model.
 - :mod:`~repro.entropy.huffman` — canonical Huffman codec for byte streams.
 - :mod:`~repro.entropy.lz77` — hash-chain LZ77 tokenizer.
 - :mod:`~repro.entropy.deflate` — the LZ77+Huffman "deflate-style" codec.

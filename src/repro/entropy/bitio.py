@@ -1,4 +1,4 @@
-"""MSB-first bit-level I/O used by the arithmetic and Huffman coders."""
+"""MSB-first bit-level I/O for the Huffman and LZ77 coders and the baselines' raw bits."""
 
 from __future__ import annotations
 
@@ -56,9 +56,7 @@ class BitWriter:
 class BitReader:
     """Reads bits most-significant-first from a byte buffer.
 
-    Reading past the end yields zero bits: the arithmetic decoder primes its
-    code register with more bits than the encoder may have emitted, and those
-    phantom bits are zeros by construction.
+    Reading past the end yields zero bits.
     """
 
     def __init__(self, data: bytes) -> None:

@@ -179,22 +179,22 @@ class OctreeCodec:
         return np.repeat(centers, counts, axis=0)
 
     def _decode_occupancy_v1(self, payload: bytes, depth: int, n_points: int) -> np.ndarray:
-        """Legacy v1 occupancy: one sequential adaptive model, no tag byte."""
+        """Legacy v1 occupancy: one sequential adaptive model, no tag byte.
+
+        Decodes one level per batch, since a level's size is the number of
+        bits set in the level before it.
+        """
         nodes = np.zeros(1, dtype=np.int64)
         if depth == 0:
             return nodes
         model = AdaptiveModel(256, increment=self.increment, max_total=self.max_total)
         decoder = ArithmeticDecoder(payload)
-        decode_one = decoder.decode_symbol
         for _ in range(depth):
-            occupancy = np.fromiter(
-                (decode_one(model) for _ in range(len(nodes))),
-                dtype=np.uint8,
-                count=len(nodes),
-            )
+            occupancy = np.array(decoder.decode_symbols(model, len(nodes)), dtype=np.uint8)
             nodes = expand_occupancy_level(nodes, occupancy)
             if len(nodes) > n_points:
                 raise ValueError("octree level has more nodes than points")
+        decoder.finish()
         return nodes
 
     @staticmethod

@@ -138,12 +138,9 @@ class QuadtreeCodec:
                 )
                 decoder = ArithmeticDecoder(data[pos : pos + payload_len])
                 for _ in range(depth):
-                    occupancy = np.fromiter(
-                        (decoder.decode_symbol(model) for _ in range(len(nodes))),
-                        dtype=np.uint8,
-                        count=len(nodes),
-                    )
-                    nodes = _expand_level(nodes, occupancy, n_points)
+                    occupancy = decoder.decode_symbols(model, len(nodes))
+                    nodes = _expand_level(nodes, np.array(occupancy, np.uint8), n_points)
+                decoder.finish()
             pos += payload_len
             counts = decode_int_sequence(data[pos:], checksum=False) + 1
             if counts.size != nodes.size:

@@ -1,9 +1,10 @@
 """The tuple-keyed dense-delta occupancy-bit coder (format v3 reference).
 
 The first implementation of the v3 occupancy-bit coder: one
-:class:`~repro.entropy.arithmetic.AdaptiveModel` per 7-tuple context in a
-dict, coded through :class:`~repro.entropy.arithmetic.ArithmeticEncoder`
-and :class:`~repro.entropy.arithmetic.ArithmeticDecoder`.  The fused
+:class:`~tests.oracles.arithmetic.AdaptiveModel` per 7-tuple context in a
+dict, coded through the bit-at-a-time
+:class:`~tests.oracles.arithmetic.ArithmeticEncoder` and
+:class:`~tests.oracles.arithmetic.ArithmeticDecoder`.  The fused
 loops in :mod:`repro.core.temporal` must produce the same bytes and the
 same trees; ``tests/test_entropy_fused.py`` and
 ``benchmarks/bench_kernel_speedup.py`` compare them.
@@ -14,12 +15,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.temporal import _OCC_INCREMENT, _predict_level
-from repro.entropy.arithmetic import (
+from repro.octree.octree import expand_occupancy_level
+from tests.oracles.arithmetic import (
     AdaptiveModel,
     ArithmeticDecoder,
     ArithmeticEncoder,
 )
-from repro.octree.octree import expand_occupancy_level
 
 
 def _clone_models(models: dict[tuple, AdaptiveModel]) -> dict[tuple, AdaptiveModel]:

@@ -28,7 +28,6 @@ from repro.entropy.arithmetic import (
     _HALF,
     MAX_OVERREAD_BITS,
     AdaptiveModel,
-    ArithmeticDecoder,
     ArithmeticEncoder,
     arithmetic_decode,
     arithmetic_encode,
@@ -182,11 +181,11 @@ class TestReadPastEndBound:
             n = int(rng.choice(ALPHABETS))
             symbols = rng.integers(0, n, size=int(rng.integers(0, 40)))
             data = arithmetic_encode(symbols, n)
-            decoder = ArithmeticDecoder(data)  # has read its first 32 bits
+            decoder = oracle.ArithmeticDecoder(data)  # has read its first 32 bits
             shifts = []
             read_bit = decoder._reader.read_bit
             decoder._reader.read_bit = lambda: shifts.append(1) or read_bit()
-            model = AdaptiveModel(n)
+            model = oracle.AdaptiveModel(n)
             for _ in symbols:
                 decoder.decode_symbol(model)
             worst = max(worst, 32 + len(shifts) - 8 * len(data))
@@ -256,13 +255,13 @@ class TestOccupancyLoops:
         # Thousands of nodes at levels >= 6 share contexts; with the
         # predictor far away every bit lands in a handful of them.
         rescales = []
-        original = AdaptiveModel._rescale
+        original = occ_oracle.AdaptiveModel._rescale
 
         def counted(model):
             rescales.append(model.total)
             original(model)
 
-        monkeypatch.setattr(AdaptiveModel, "_rescale", counted)
+        monkeypatch.setattr(occ_oracle.AdaptiveModel, "_rescale", counted)
         rng = np.random.default_rng(5)
         models = _chain(rng, 8, [6000, 6000], spread=40.0)
         assert rescales, "no context rescaled"
