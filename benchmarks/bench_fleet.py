@@ -8,10 +8,10 @@ The scaling table lands in ``benchmarks/results/`` and the perf record in
 
 A durability row quantifies the receipt journal's tax: the same frames
 over an *unpaced* loopback (so store cost, not the wire, dominates)
-against the default write-ahead store, with and without a
+against the crash-safe store, with and without a
 :class:`~repro.system.durability.ReceiptJournal`.  Both sides use the
-durable store — that is the production default and what every scaling
-row above runs — so the ratio isolates exactly what journaling adds.
+same store every scaling row above runs, so the ratio isolates exactly
+what journaling adds.
 The row replays the fleet serially (``concurrent=False``): with
 concurrent clients every per-frame syscall is a GIL hand-off
 opportunity, and that scheduler noise — identical work, different

@@ -27,12 +27,7 @@ from repro.entropy.arithmetic import (
     ArithmeticDecoder,
     ArithmeticEncoder,
 )
-from repro.entropy.backend import (
-    AdaptiveArithmeticBackend,
-    decode_tagged_ints,
-    encode_tagged_ints,
-    get_backend,
-)
+from repro.entropy.backend import decode_tagged_ints, encode_tagged_ints, get_backend
 from repro.entropy.bitio import BitReader, BitWriter
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry.bbox import BoundingCube
@@ -52,23 +47,13 @@ class GpccCompressor(GeometryCompressor):
 
     name = "G-PCC"
 
-    def __init__(
-        self,
-        q_xyz: float,
-        increment: int = 32,
-        backend: str = "adaptive-arith",
-    ) -> None:
+    def __init__(self, q_xyz: float, backend: str = "adaptive-arith") -> None:
         super().__init__(q_xyz)
-        self.increment = increment
         # The occupancy and IDCM-flag streams are context-interleaved and
         # adapt symbol-by-symbol, which is incompatible with a two-pass
         # table-building coder — they always use adaptive arithmetic.  The
         # backend only switches the self-contained leaf-count stream.
-        self.backend = (
-            AdaptiveArithmeticBackend(increment)
-            if backend == "adaptive-arith"
-            else get_backend(backend)
-        )
+        self.backend = get_backend(backend)
 
     def _occupancy_models(self) -> dict[int, AdaptiveModel]:
         # Lazily built: context = the parent's occupancy byte (0 at the root),
@@ -80,13 +65,13 @@ class GpccCompressor(GeometryCompressor):
     ) -> AdaptiveModel:
         model = models.get(context)
         if model is None:
-            model = AdaptiveModel(256, increment=self.increment)
+            model = AdaptiveModel(256)
             models[context] = model
         return model
 
     def _flag_models(self) -> list[AdaptiveModel]:
         # Context = min(remaining levels, 8).
-        return [AdaptiveModel(2, increment=self.increment) for _ in range(9)]
+        return [AdaptiveModel(2) for _ in range(9)]
 
     def _codes(self, xyz: np.ndarray) -> tuple[np.ndarray, BoundingCube, int]:
         cube, depth = BoundingCube.for_leaf_size(xyz, self.leaf_side)
@@ -197,7 +182,7 @@ class GpccCompressor(GeometryCompressor):
             for i in present:
                 queue.append(((prefix << 3) | i, level + 1, child_ctx))
         decoder.finish()
-        tree_counts = decode_tagged_ints(counts_stream, self.backend) + 1
+        tree_counts = decode_tagged_ints(counts_stream) + 1
         if tree_counts.size != len(tree_leaf_slots):
             raise ValueError("leaf count stream does not match tree")
         counts = np.ones(len(leaves), dtype=np.int64)

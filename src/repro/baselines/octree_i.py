@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.baselines.base import GeometryCompressor
 from repro.entropy.backend import (
-    AdaptiveArithmeticBackend,
     decode_tagged_ints,
     decode_tagged_symbols,
     encode_tagged_ints,
@@ -56,19 +55,9 @@ class OctreeICompressor(GeometryCompressor):
 
     name = "Octree_i"
 
-    def __init__(
-        self,
-        q_xyz: float,
-        increment: int = 32,
-        backend: str = "adaptive-arith",
-    ) -> None:
+    def __init__(self, q_xyz: float, backend: str = "adaptive-arith") -> None:
         super().__init__(q_xyz)
-        self.increment = increment
-        self.backend = (
-            AdaptiveArithmeticBackend(increment)
-            if backend == "adaptive-arith"
-            else get_backend(backend)
-        )
+        self.backend = get_backend(backend)
         self._plain = OctreeCodec(self.leaf_side)
 
     def compress(self, cloud: PointCloud) -> bytes:
@@ -128,9 +117,7 @@ class OctreeICompressor(GeometryCompressor):
             context, pos = decode_uvarint(data, pos)
             count, pos = decode_uvarint(data, pos)
             size, pos = decode_uvarint(data, pos)
-            group_symbols[context] = decode_tagged_symbols(
-                data[pos : pos + size], count, 256, self.backend
-            )
+            group_symbols[context] = decode_tagged_symbols(data[pos : pos + size], count, 256)
             cursors[context] = 0
             pos += size
         nodes = np.zeros(1, dtype=np.int64)
@@ -150,7 +137,7 @@ class OctreeICompressor(GeometryCompressor):
                 cursors[ctx] = cur + idx.size
             nodes = expand_occupancy_level(nodes, occupancy)
             parent_contexts = _child_contexts(occupancy)
-        counts = decode_tagged_ints(data[pos:], self.backend) + 1
+        counts = decode_tagged_ints(data[pos:]) + 1
         if counts.size != nodes.size:
             raise ValueError("leaf counts do not match tree")
         ix, iy, iz = deinterleave3(nodes)

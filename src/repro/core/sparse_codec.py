@@ -51,12 +51,12 @@ from repro.core.reference import (
 )
 from repro.entropy.backend import (
     EntropyBackend,
+    backend_for_tag,
     decode_tagged_ints,
     decode_tagged_symbols,
     encode_tagged_ints,
     encode_tagged_symbols,
     get_backend,
-    resolve_tag,
 )
 from repro.entropy.deflate import deflate_compress, deflate_decompress
 from repro.entropy.varint import (
@@ -163,12 +163,7 @@ def _pack_stream(
     return bytes([b.tag + 1]) + coded
 
 
-def _unpack_stream(
-    data: bytes,
-    count: int,
-    preferred: EntropyBackend | None = None,
-    version: int = 2,
-) -> np.ndarray:
+def _unpack_stream(data: bytes, count: int, version: int = 2) -> np.ndarray:
     """Inverse of :func:`_pack_stream`.
 
     ``version=1`` reads the legacy layout, where mode byte 1 was a
@@ -187,7 +182,7 @@ def _unpack_stream(
             raise ValueError("entropy stream count mismatch")
         return values
     try:
-        backend = resolve_tag(mode - 1, preferred)
+        backend = backend_for_tag(mode - 1)
     except ValueError:
         raise ValueError(f"unknown stream mode byte {mode}") from None
     values = backend.decode_ints(payload)

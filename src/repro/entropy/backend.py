@@ -45,7 +45,6 @@ __all__ = [
     "register_backend",
     "get_backend",
     "backend_for_tag",
-    "resolve_tag",
     "available_backends",
     "encode_tagged_symbols",
     "decode_tagged_symbols",
@@ -103,19 +102,11 @@ class AdaptiveArithmeticBackend(EntropyBackend):
     name = "adaptive-arith"
     tag = 0
 
-    def __init__(self, increment: int = 32, max_total: int = 1 << 16):
-        self.increment = increment
-        self.max_total = max_total
-
     def encode(self, symbols: np.ndarray, num_symbols: int) -> bytes:
-        return arithmetic_encode(
-            symbols, num_symbols, increment=self.increment, max_total=self.max_total
-        )
+        return arithmetic_encode(symbols, num_symbols)
 
     def decode(self, data: bytes, count: int, num_symbols: int) -> np.ndarray:
-        return arithmetic_decode(
-            data, count, num_symbols, increment=self.increment, max_total=self.max_total
-        )
+        return arithmetic_decode(data, count, num_symbols)
 
     def encode_ints(self, values: np.ndarray) -> bytes:
         # The native int-sequence path: varint bytes are self-delimiting, so
@@ -233,28 +224,11 @@ def encode_tagged_symbols(
     return payload
 
 
-def resolve_tag(tag: int, preferred: EntropyBackend | None = None) -> EntropyBackend:
-    """Backend for a wire tag, honoring a caller-configured instance.
-
-    Codecs that parametrize their backend (e.g. a custom adaptive
-    ``increment``) pass that instance as ``preferred``; it is used whenever
-    the tag matches, so encoder and decoder stay in lockstep.
-    """
-    if preferred is not None and preferred.tag == tag:
-        return preferred
-    return backend_for_tag(tag)
-
-
-def decode_tagged_symbols(
-    data: bytes,
-    count: int,
-    num_symbols: int,
-    preferred: EntropyBackend | None = None,
-) -> np.ndarray:
+def decode_tagged_symbols(data: bytes, count: int, num_symbols: int) -> np.ndarray:
     """Decode a tagged symbol stream (backend chosen by its tag byte)."""
     if not data:
         raise ValueError("empty tagged symbol stream")
-    return resolve_tag(data[0], preferred).decode(data[1:], count, num_symbols)
+    return backend_for_tag(data[0]).decode(data[1:], count, num_symbols)
 
 
 def encode_tagged_ints(
@@ -270,10 +244,8 @@ def encode_tagged_ints(
     return payload
 
 
-def decode_tagged_ints(
-    data: bytes, preferred: EntropyBackend | None = None
-) -> np.ndarray:
+def decode_tagged_ints(data: bytes) -> np.ndarray:
     """Decode a tagged integer sequence (backend chosen by its tag byte)."""
     if not data:
         raise ValueError("empty tagged int stream")
-    return resolve_tag(data[0], preferred).decode_ints(data[1:])
+    return backend_for_tag(data[0]).decode_ints(data[1:])

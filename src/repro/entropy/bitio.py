@@ -56,7 +56,8 @@ class BitWriter:
 class BitReader:
     """Reads bits most-significant-first from a byte buffer.
 
-    Reading past the end yields zero bits.
+    Reading past the end of the buffer raises ``ValueError``: a cut
+    stream must fail, not decode to zeros.
     """
 
     def __init__(self, data: bytes) -> None:
@@ -66,14 +67,13 @@ class BitReader:
         self._nbits = 0
 
     def read_bit(self) -> int:
-        """Read a single bit, or 0 beyond the end of the stream."""
+        """Read a single bit."""
         if self._nbits == 0:
-            if self._pos < len(self._data):
-                self._acc = self._data[self._pos]
-                self._pos += 1
-                self._nbits = 8
-            else:
-                return 0
+            if self._pos >= len(self._data):
+                raise ValueError("bit stream read past its end")
+            self._acc = self._data[self._pos]
+            self._pos += 1
+            self._nbits = 8
         self._nbits -= 1
         return (self._acc >> self._nbits) & 1
 
@@ -81,16 +81,15 @@ class BitReader:
         """Read ``count`` bits as an unsigned integer."""
         if count < 0:
             raise ValueError(f"bit count must be non-negative, got {count}")
+        if count > self._nbits + 8 * (len(self._data) - self._pos):
+            raise ValueError("bit stream read past its end")
         value = 0
         remaining = count
         while remaining > 0:
             if self._nbits == 0:
-                if self._pos < len(self._data):
-                    self._acc = self._data[self._pos]
-                    self._pos += 1
-                    self._nbits = 8
-                else:
-                    return value << remaining
+                self._acc = self._data[self._pos]
+                self._pos += 1
+                self._nbits = 8
             take = min(self._nbits, remaining)
             self._nbits -= take
             value = (value << take) | ((self._acc >> self._nbits) & ((1 << take) - 1))
@@ -99,5 +98,5 @@ class BitReader:
 
     @property
     def bits_consumed(self) -> int:
-        """Number of bits consumed from real (non-phantom) data."""
+        """Number of bits read so far."""
         return self._pos * 8 - self._nbits

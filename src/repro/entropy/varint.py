@@ -100,11 +100,13 @@ def decode_varints(data: bytes, count: int, signed: bool = True) -> np.ndarray:
     raw = raw[:end]
     starts = np.zeros(count, dtype=np.int64)
     starts[1:] = terminators[:-1] + 1
-    if int((terminators - starts).max()) + 1 > 10:
+    lengths = terminators - starts + 1
+    if int(lengths.max()) > 10:
         raise ValueError("varint too long")
-    byte_off = (np.arange(end) - np.repeat(starts, terminators - starts + 1)).astype(
-        np.uint64
-    )
+    # A tenth byte carries bit 63 alone; more would wrap in uint64.
+    if (raw[terminators[lengths == 10]] > 1).any():
+        raise ValueError("varint overflows 64 bits")
+    byte_off = (np.arange(end) - np.repeat(starts, lengths)).astype(np.uint64)
     contrib = (raw.astype(np.uint64) & np.uint64(0x7F)) << (np.uint64(7) * byte_off)
     values = np.add.reduceat(contrib, starts)
     if signed:

@@ -37,7 +37,6 @@ from repro.entropy.arithmetic import (
     decode_int_sequence,
 )
 from repro.entropy.backend import (
-    AdaptiveArithmeticBackend,
     EntropyBackend,
     decode_tagged_ints,
     decode_tagged_symbols,
@@ -48,7 +47,11 @@ from repro.entropy.backend import (
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry.bbox import BoundingCube
 from repro.octree.morton import MAX_DEPTH_3D, deinterleave3, interleave3
-from repro.octree.octree import build_octree_structure, expand_occupancy_level
+from repro.octree.octree import (
+    build_octree_structure,
+    check_occupancy_budget,
+    expand_occupancy_level,
+)
 
 __all__ = ["OctreeCodec"]
 
@@ -63,9 +66,6 @@ class OctreeCodec:
     leaf_side:
         Side length of leaf cells; ``2 * q_xyz`` meets an error bound of
         ``q_xyz`` per dimension.
-    increment, max_total:
-        Adaptivity parameters of the occupancy-byte arithmetic model (used
-        when the adaptive backend is selected).
     backend:
         Entropy backend (registry name or instance) for the occupancy and
         count streams.  Decoding follows the stream tags, so any codec
@@ -73,23 +73,12 @@ class OctreeCodec:
     """
 
     def __init__(
-        self,
-        leaf_side: float,
-        increment: int = 32,
-        max_total: int = 1 << 16,
-        backend: str | EntropyBackend = "adaptive-arith",
+        self, leaf_side: float, backend: str | EntropyBackend = "adaptive-arith"
     ):
         if leaf_side <= 0:
             raise ValueError(f"leaf_side must be positive, got {leaf_side}")
         self.leaf_side = float(leaf_side)
-        self.increment = increment
-        self.max_total = max_total
-        if backend == "adaptive-arith":
-            self.backend: EntropyBackend = AdaptiveArithmeticBackend(
-                increment=increment, max_total=max_total
-            )
-        else:
-            self.backend = get_backend(backend)
+        self.backend = get_backend(backend)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -154,16 +143,17 @@ class OctreeCodec:
             counts = decode_int_sequence(data[pos:], checksum=False) + 1
         else:
             n_occupancy, pos = decode_uvarint(data, pos)
+            check_occupancy_budget(n_occupancy, depth, n_points)
             if n_occupancy:
                 payload_len, pos = decode_uvarint(data, pos)
                 occupancy = decode_tagged_symbols(
-                    data[pos : pos + payload_len], n_occupancy, 256, self.backend
+                    data[pos : pos + payload_len], n_occupancy, 256
                 )
                 pos += payload_len
             else:
                 occupancy = np.empty(0, dtype=np.int64)
             leaf_codes = self._expand_occupancy(occupancy, depth, n_points)
-            counts = decode_tagged_ints(data[pos:], self.backend) + 1
+            counts = decode_tagged_ints(data[pos:]) + 1
         if counts.size != leaf_codes.size:
             raise ValueError("leaf count stream does not match occupancy tree")
         if counts.sum() != n_points:
@@ -187,7 +177,7 @@ class OctreeCodec:
         nodes = np.zeros(1, dtype=np.int64)
         if depth == 0:
             return nodes
-        model = AdaptiveModel(256, increment=self.increment, max_total=self.max_total)
+        model = AdaptiveModel(256)
         decoder = ArithmeticDecoder(payload)
         for _ in range(depth):
             occupancy = np.array(decoder.decode_symbols(model, len(nodes)), dtype=np.uint8)

@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["OctreeStructure", "build_octree_structure", "expand_occupancy_level"]
+__all__ = [
+    "OctreeStructure",
+    "build_octree_structure",
+    "check_occupancy_budget",
+    "expand_occupancy_level",
+]
 
 
 @dataclass
@@ -111,3 +116,18 @@ def expand_occupancy_level(node_codes: np.ndarray, occupancy: np.ndarray) -> np.
     bits = np.unpackbits(occupancy.astype(np.uint8)[:, None], axis=1, bitorder="little")
     rows, child_index = np.nonzero(bits)
     return (node_codes[rows] << 3) | child_index.astype(np.int64)
+
+
+def check_occupancy_budget(n_occupancy: int, depth: int, n_points: int) -> None:
+    """Reject an occupancy count no tree of ``n_points`` points can hold.
+
+    A tree codes one occupancy symbol per node on each of its ``depth``
+    non-leaf levels, and every node of a valid tree holds a point, so a
+    v2 octree or quadtree section is checked before its occupancy stream
+    is decoded.
+    """
+    if n_occupancy > depth * n_points:
+        raise ValueError(
+            f"occupancy count {n_occupancy} exceeds the {depth * n_points} nodes "
+            f"a depth-{depth} tree of {n_points} points can hold"
+        )

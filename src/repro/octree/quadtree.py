@@ -21,7 +21,6 @@ from repro.entropy.arithmetic import (
     decode_int_sequence,
 )
 from repro.entropy.backend import (
-    AdaptiveArithmeticBackend,
     EntropyBackend,
     decode_tagged_ints,
     decode_tagged_symbols,
@@ -32,6 +31,7 @@ from repro.entropy.backend import (
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry.bbox import pow2_cover
 from repro.octree.morton import MAX_DEPTH_2D, deinterleave2, interleave2
+from repro.octree.octree import check_occupancy_budget
 
 __all__ = ["QuadtreeCodec"]
 
@@ -51,23 +51,12 @@ class QuadtreeCodec:
     """Quadtree codec over ``(x, y)`` with fixed leaf cell side."""
 
     def __init__(
-        self,
-        leaf_side: float,
-        increment: int = 32,
-        max_total: int = 1 << 16,
-        backend: str | EntropyBackend = "adaptive-arith",
+        self, leaf_side: float, backend: str | EntropyBackend = "adaptive-arith"
     ):
         if leaf_side <= 0:
             raise ValueError(f"leaf_side must be positive, got {leaf_side}")
         self.leaf_side = float(leaf_side)
-        self.increment = increment
-        self.max_total = max_total
-        if backend == "adaptive-arith":
-            self.backend: EntropyBackend = AdaptiveArithmeticBackend(
-                increment=increment, max_total=max_total
-            )
-        else:
-            self.backend = get_backend(backend)
+        self.backend = get_backend(backend)
 
     def _quantize(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         lo = xy.min(axis=0)
@@ -133,9 +122,7 @@ class QuadtreeCodec:
             payload_len, pos = decode_uvarint(data, pos)
             nodes = np.zeros(1, dtype=np.int64)
             if depth > 0:
-                model = AdaptiveModel(
-                    16, increment=self.increment, max_total=self.max_total
-                )
+                model = AdaptiveModel(16)
                 decoder = ArithmeticDecoder(data[pos : pos + payload_len])
                 for _ in range(depth):
                     occupancy = decoder.decode_symbols(model, len(nodes))
@@ -151,11 +138,10 @@ class QuadtreeCodec:
             )
             return np.repeat(centers, counts, axis=0)
         n_occupancy, pos = decode_uvarint(data, pos)
+        check_occupancy_budget(n_occupancy, depth, n_points)
         if n_occupancy:
             payload_len, pos = decode_uvarint(data, pos)
-            occupancy = decode_tagged_symbols(
-                data[pos : pos + payload_len], n_occupancy, 16, self.backend
-            )
+            occupancy = decode_tagged_symbols(data[pos : pos + payload_len], n_occupancy, 16)
             pos += payload_len
         else:
             occupancy = np.empty(0, dtype=np.int64)
@@ -169,7 +155,7 @@ class QuadtreeCodec:
             nodes = _expand_level(nodes, level.astype(np.uint8), n_points)
         if offset != occupancy.size:
             raise ValueError("occupancy stream longer than the tree")
-        counts = decode_tagged_ints(data[pos:], self.backend) + 1
+        counts = decode_tagged_ints(data[pos:]) + 1
         if counts.size != nodes.size:
             raise ValueError("leaf count stream does not match quadtree")
         ix, iy = deinterleave2(nodes)

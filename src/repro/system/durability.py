@@ -73,30 +73,20 @@ def atomic_write_bytes(path: Path, data: bytes, fsync: bool = False) -> Path:
 
 @dataclass
 class RecoveryReport:
-    """What a store's ``recover()`` pass found on open."""
+    """What :meth:`~repro.system.storage.FileFrameStore.recover` found on open."""
 
-    #: Torn writes rolled back (journal intents without a committed row,
-    #: tmp-file orphans).
+    #: Torn writes rolled back (tmp-file orphans).
     rolled_back: int = 0
-    #: Journal intents whose write had in fact completed (cleared as
-    #: committed instead of rolled back).
-    replayed: int = 0
-    #: Stray artifacts removed (orphan CRC sidecars, stale tmp files).
+    #: Stray artifacts removed (orphan CRC sidecars).
     orphans_removed: int = 0
 
     @property
     def clean(self) -> bool:
-        return self.rolled_back == 0 and self.replayed == 0 and self.orphans_removed == 0
-
-    def merge(self, other: "RecoveryReport") -> "RecoveryReport":
-        self.rolled_back += other.rolled_back
-        self.replayed += other.replayed
-        self.orphans_removed += other.orphans_removed
-        return self
+        return self.rolled_back == 0 and self.orphans_removed == 0
 
     def __str__(self) -> str:
         return (
-            f"recovery: {self.replayed} replayed, {self.rolled_back} rolled back, "
+            f"recovery: {self.rolled_back} rolled back, "
             f"{self.orphans_removed} orphan(s) removed"
         )
 

@@ -47,7 +47,6 @@ import queue
 import socket
 import threading
 import time
-import zlib
 from collections import deque
 from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, field
@@ -75,7 +74,6 @@ from repro.system.protocol import (
     ProtocolError,
     encode_record,
     read_record,
-    recv_exact,
 )
 from repro.system.storage import FileFrameStore, ShardedFrameStore, SqliteFrameStore
 
@@ -84,7 +82,6 @@ __all__ = [
     "QuarantinedFrame",
     "RemoteDecodeError",
     "StreamState",
-    "recv_exact",
 ]
 
 #: Smoothing factor of the store-write latency EWMA behind busy hints.
@@ -220,7 +217,7 @@ class _PendingFrame:
     stream: "StreamState"
     frame_index: int
     payload: bytes = field(repr=False)
-    payload_crc: int | None
+    payload_crc: int
     received_at: float
     submitted_at: float
     future: Future
@@ -709,7 +706,7 @@ class DbgcServer:
         stream: StreamState,
         frame_index: int,
         payload: bytes,
-        payload_crc: int | None,
+        payload_crc: int,
     ) -> None:
         """Reserve one frame and hand it to the drainer as a future — no wait.
 
@@ -867,10 +864,7 @@ class DbgcServer:
             # client can observe — a retransmission of such a frame is
             # re-committed idempotently (same index, same payload)
             # instead of being answered DUPLICATE.
-            payload_crc = entry.payload_crc
-            if payload_crc is None:
-                payload_crc = zlib.crc32(payload)
-            self.journal.append_frame(stream.stream_id, frame_index, payload_crc)
+            self.journal.append_frame(stream.stream_id, frame_index, entry.payload_crc)
         self._ack(conn, send_lock, stream, frame_index, ACK_STORED)
 
     def _write(self, frame_index: int, payload: bytes, cloud: PointCloud | None) -> None:

@@ -14,22 +14,20 @@ half-written row or trip sqlite's shared-cache errors), and
 stores so handlers landing on different shards do not serialize on one
 database at all.
 
-The durability tier adds a write-ahead commit path to every store
-(``durable=True``, the default):
+The durability tier gives every store one crash-safe write path:
 
 - :class:`FileFrameStore` writes each artifact to a same-directory tmp
   file and renames it into place (the commit point), recording the
   payload CRC-32 in a ``.crc`` sidecar *before* the payload rename — a
   killed process leaves a tmp orphan, never a torn frame, and
   :meth:`FileFrameStore.recover` deletes the orphans on the next open.
-- :class:`SqliteFrameStore` journals each write's intent (index, kind,
-  CRC) into a ``journal`` table committed *before* the frame row;
-  :meth:`SqliteFrameStore.recover` replays intents whose frame row
-  landed and rolls back the rest.
-- :class:`ShardedFrameStore` recovers each shard on open, can write
-  every frame to ``replication`` consecutive shards, and
-  :meth:`ShardedFrameStore.scrub` audits the replica CRCs — repairing a
-  corrupted or missing copy from a healthy one.
+- :class:`SqliteFrameStore` writes each frame row, CRC included, in one
+  transaction; SQLite's rollback journal makes the row atomic, so a
+  crash leaves the frame either stored whole or not at all.
+- :class:`ShardedFrameStore` can write every frame to ``replication``
+  consecutive shards, and :meth:`ShardedFrameStore.scrub` audits the
+  replica CRCs — repairing a corrupted or missing copy from a healthy
+  one.
 """
 
 from __future__ import annotations
@@ -62,21 +60,18 @@ class FileFrameStore:
     clouds as NPZ.  A frame index counts once even when both artifacts
     exist for it.
 
-    With ``durable=True`` (default) every artifact is committed by the
-    tmp-file + rename path of :func:`~repro.system.durability.
-    atomic_write_bytes` and payloads get a ``.crc`` sidecar recording
-    their CRC-32 (written first, so a visible payload always has its
-    checksum).  ``fsync=True`` additionally syncs each write to stable
-    storage.  :meth:`recover` runs on open and removes torn tmp files
-    and orphaned sidecars; the report lands in :attr:`last_recovery`.
+    Every artifact is committed by the tmp-file + rename path of
+    :func:`~repro.system.durability.atomic_write_bytes`, and payloads get
+    a ``.crc`` sidecar recording their CRC-32 (written first, so a
+    visible payload always has its checksum).  ``fsync=True``
+    additionally syncs each write to stable storage.  :meth:`recover`
+    runs on open and removes torn tmp files and orphaned sidecars; the
+    report lands in :attr:`last_recovery`.
     """
 
-    def __init__(
-        self, root: str | Path, durable: bool = True, fsync: bool = False
-    ) -> None:
+    def __init__(self, root: str | Path, fsync: bool = False) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.durable = bool(durable)
         self.fsync = bool(fsync)
         self._closed = False
         self.last_recovery = self.recover()
@@ -103,18 +98,15 @@ class FileFrameStore:
 
     def put_payload(self, frame_index: int, payload: bytes) -> Path:
         path = self._payload_path(frame_index)
-        if self.durable:
-            # Sidecar first: a payload that became visible always has its
-            # CRC; the reverse orphan is cleaned up by recover().
-            atomic_write_bytes(
-                self._crc_path(frame_index),
-                f"{zlib.crc32(payload):08x}\n".encode(),
-                fsync=self.fsync,
-            )
-            atomic_write_bytes(path, payload, fsync=self.fsync)
-            _obs.count("store.journal.commits")
-        else:
-            path.write_bytes(payload)
+        # Sidecar first: a payload that became visible always has its
+        # CRC; the reverse orphan is cleaned up by recover().
+        atomic_write_bytes(
+            self._crc_path(frame_index),
+            f"{zlib.crc32(payload):08x}\n".encode(),
+            fsync=self.fsync,
+        )
+        atomic_write_bytes(path, payload, fsync=self.fsync)
+        _obs.count("store.journal.commits")
         return path
 
     def get_payload(self, frame_index: int) -> bytes:
@@ -129,13 +121,10 @@ class FileFrameStore:
 
     def put_cloud(self, frame_index: int, cloud: PointCloud) -> Path:
         path = self.root / f"frame_{frame_index:06d}.npz"
-        if self.durable:
-            buffer = io.BytesIO()
-            np.savez_compressed(buffer, xyz=cloud.xyz)
-            atomic_write_bytes(path, buffer.getvalue(), fsync=self.fsync)
-            _obs.count("store.journal.commits")
-        else:
-            np.savez_compressed(path, xyz=cloud.xyz)
+        buffer = io.BytesIO()
+        np.savez_compressed(buffer, xyz=cloud.xyz)
+        atomic_write_bytes(path, buffer.getvalue(), fsync=self.fsync)
+        _obs.count("store.journal.commits")
         return path
 
     def get_cloud(self, frame_index: int) -> PointCloud:
@@ -188,18 +177,17 @@ class SqliteFrameStore:
     the row — only a same-kind overwrite (an idempotent retransmission)
     is allowed.
 
-    With ``durable=True`` (default) each write goes through a
-    write-ahead ``journal`` table: the intent (index, kind, CRC) commits
-    first, then the frame row and the intent's deletion commit together.
-    A crash between the two commits leaves the intent behind;
-    :meth:`recover` (run on open) replays intents whose frame row landed
-    and rolls back the rest.  Every row records its payload CRC-32 for
-    scrub audits.
+    Each write commits the frame row, its payload CRC-32 included, in
+    one transaction.  SQLite's rollback journal makes that row atomic:
+    after a crash before the commit, the next open rolls back whatever
+    part of the write reached the database file, so a frame is stored
+    whole or not at all.  The CRC serves scrub audits.  A ``journal``
+    table left in the database by an older version of this store is
+    ignored; ``frames`` is authoritative.
     """
 
-    def __init__(self, path: str | Path = ":memory:", durable: bool = True) -> None:
+    def __init__(self, path: str | Path = ":memory:") -> None:
         self._lock = threading.Lock()
-        self.durable = bool(durable)
         self._closed = False
         self._conn = sqlite3.connect(str(path), check_same_thread=False)
         with self._lock:
@@ -211,12 +199,6 @@ class SqliteFrameStore:
                 " data BLOB NOT NULL,"
                 " crc32 INTEGER)"
             )
-            self._conn.execute(
-                "CREATE TABLE IF NOT EXISTS journal ("
-                " frame_index INTEGER PRIMARY KEY,"
-                " kind TEXT NOT NULL,"
-                " crc32 INTEGER NOT NULL)"
-            )
             # Migrate pre-durability databases that lack the CRC column.
             columns = {
                 row[1] for row in self._conn.execute("PRAGMA table_info(frames)")
@@ -224,38 +206,6 @@ class SqliteFrameStore:
             if "crc32" not in columns:
                 self._conn.execute("ALTER TABLE frames ADD COLUMN crc32 INTEGER")
             self._conn.commit()
-        self.last_recovery = self.recover()
-
-    def recover(self) -> RecoveryReport:
-        """Resolve leftover journal intents: replay committed, roll back torn.
-
-        An intent whose frame row exists with the intended CRC committed
-        before the crash (only the intent's deletion was lost) — it is
-        *replayed* by clearing it.  Any other intent is *rolled back*:
-        the frame table still holds the pre-write state (SQLite
-        transactions are atomic), so dropping the intent restores it.
-        """
-        report = RecoveryReport()
-        with self._lock:
-            intents = self._conn.execute(
-                "SELECT frame_index, kind, crc32 FROM journal"
-            ).fetchall()
-            for frame_index, kind, crc in intents:
-                row = self._conn.execute(
-                    "SELECT kind, crc32 FROM frames WHERE frame_index = ?",
-                    (frame_index,),
-                ).fetchone()
-                if row is not None and row[0] == kind and row[1] == crc:
-                    report.replayed += 1
-                else:
-                    report.rolled_back += 1
-                self._conn.execute(
-                    "DELETE FROM journal WHERE frame_index = ?", (frame_index,)
-                )
-            self._conn.commit()
-        if report.rolled_back:
-            _obs.count("store.journal.rollbacks", report.rolled_back)
-        return report
 
     def _put(self, frame_index: int, kind: str, n_points: int, data: bytes) -> None:
         crc = zlib.crc32(data)
@@ -268,25 +218,12 @@ class SqliteFrameStore:
                     f"frame {frame_index} is already stored as {row[0]!r}; "
                     f"refusing to replace it with a {kind!r}"
                 )
-            if self.durable:
-                # Phase 1: commit the intent.  Phase 2: the frame row and
-                # the intent's clearance commit atomically together.
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO journal VALUES (?, ?, ?)",
-                    (frame_index, kind, crc),
-                )
-                self._conn.commit()
             self._conn.execute(
                 "INSERT OR REPLACE INTO frames VALUES (?, ?, ?, ?, ?)",
                 (frame_index, kind, n_points, data, crc),
             )
-            if self.durable:
-                self._conn.execute(
-                    "DELETE FROM journal WHERE frame_index = ?", (frame_index,)
-                )
             self._conn.commit()
-        if self.durable:
-            _obs.count("store.journal.commits")
+        _obs.count("store.journal.commits")
 
     def put_payload(self, frame_index: int, payload: bytes, n_points: int = 0) -> None:
         self._put(frame_index, "payload", n_points, payload)
@@ -397,22 +334,18 @@ class ShardedFrameStore:
         n_shards: int,
         directory: str | Path | None = None,
         replication: int = 1,
-        durable: bool = True,
     ) -> "ShardedFrameStore":
         """N SQLite shards — in-memory, or ``shard_K.sqlite`` files under
         ``directory``."""
         if directory is None:
             return cls(
-                (SqliteFrameStore(durable=durable) for _ in range(n_shards)),
+                (SqliteFrameStore() for _ in range(n_shards)),
                 replication=replication,
             )
         root = Path(directory)
         root.mkdir(parents=True, exist_ok=True)
         return cls(
-            (
-                SqliteFrameStore(root / f"shard_{k}.sqlite", durable=durable)
-                for k in range(n_shards)
-            ),
+            (SqliteFrameStore(root / f"shard_{k}.sqlite") for k in range(n_shards)),
             replication=replication,
         )
 
@@ -422,16 +355,12 @@ class ShardedFrameStore:
         n_shards: int,
         root: str | Path,
         replication: int = 1,
-        durable: bool = True,
         fsync: bool = False,
     ) -> "ShardedFrameStore":
         """N file-store shards under ``root/shard_K/``."""
         base = Path(root)
         return cls(
-            (
-                FileFrameStore(base / f"shard_{k}", durable=durable, fsync=fsync)
-                for k in range(n_shards)
-            ),
+            (FileFrameStore(base / f"shard_{k}", fsync=fsync) for k in range(n_shards)),
             replication=replication,
         )
 
@@ -447,14 +376,6 @@ class ShardedFrameStore:
         """All shard numbers holding a copy of ``frame_index``, primary first."""
         primary = self.shard_for(frame_index)
         return [(primary + r) % len(self.shards) for r in range(self.replication)]
-
-    def recover(self) -> RecoveryReport:
-        """Run every shard's recovery pass and merge the reports."""
-        report = RecoveryReport()
-        for lock, shard in zip(self._locks, self.shards):
-            with lock:
-                report.merge(shard.recover())
-        return report
 
     def put_payload(self, frame_index: int, payload: bytes):
         result = None
@@ -541,9 +462,9 @@ class ShardedFrameStore:
         write time (or, for copies written without CRCs, when they match
         the byte-majority of that frame's copies).  With ``repair=True``
         a missing or corrupt copy is rewritten from a healthy one —
-        the repair goes through the shard's durable put path, so it
-        re-records the CRC.  Frames stored as clouds (no payload rows)
-        are skipped: the audit covers the compressed-payload tier.
+        the repair goes through the shard's put path, so it re-records
+        the CRC.  Frames stored as clouds (no payload rows) are skipped:
+        the audit covers the compressed-payload tier.
         """
         report = ScrubReport()
         for frame_index in self.frame_indices():

@@ -199,7 +199,9 @@ class ArithmeticDecoder:
     """Mirror of :class:`ArithmeticEncoder`."""
 
     def __init__(self, data: bytes) -> None:
-        self._reader = BitReader(data)
+        # This coder reads up to 30 bits past a valid stream; BitReader
+        # raises at its end, so the zeros it reads there are padded in.
+        self._reader = BitReader(bytes(data) + bytes(4))
         self._low = 0
         self._high = _MASK
         self._code = self._reader.read_bits(_CODE_BITS)

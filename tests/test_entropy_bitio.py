@@ -60,15 +60,19 @@ class TestBitReader:
         r = BitReader(bytes([0b10110000]))
         assert [r.read_bit() for _ in range(4)] == [1, 0, 1, 1]
 
-    def test_reads_zero_past_end(self):
-        r = BitReader(b"")
-        assert r.read_bit() == 0
-        assert r.read_bits(32) == 0
+    def test_raises_past_end(self):
+        with pytest.raises(ValueError, match="past its end"):
+            BitReader(b"").read_bit()
+        with pytest.raises(ValueError, match="past its end"):
+            BitReader(b"").read_bits(32)
 
     def test_partial_then_past_end(self):
         r = BitReader(bytes([0xFF]))
         assert r.read_bits(8) == 0xFF
-        assert r.read_bits(4) == 0
+        with pytest.raises(ValueError, match="past its end"):
+            r.read_bits(4)
+        with pytest.raises(ValueError, match="past its end"):
+            r.read_bit()
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

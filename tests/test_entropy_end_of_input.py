@@ -1,14 +1,14 @@
-"""Every per-symbol and per-level user of the arithmetic coder stops at the
-end of its input.
+"""Every per-symbol and per-level user of the arithmetic coder, and every
+reader of raw bits, stops at the end of its input.
 
 The G-PCC and kd-tree baselines decode symbol by symbol, the v1 octree
 and quadtree readers one tree level per batch.  With an arithmetic payload
-cut short, each must raise ``ValueError`` (it read past the end of its
-input, or a level holds more nodes than points) within a second and
-without allocating memory in proportion to what it expected.  Reading
-zero bits past the end without a bound let a cut G-PCC stream decode to
-1,952 of 2,000 points and a cut kd-tree stream to all 2,000, with no
-error.
+or the baselines' directly coded bits cut short, each must raise
+``ValueError`` (it read past the end of its input, or a level holds more
+nodes than points) within a second and without allocating memory in
+proportion to what it expected.  Reading zero bits past the end without
+a bound let a cut G-PCC stream decode to 1,952 of 2,000 points and a cut
+kd-tree stream to all 2,000, with no error.
 """
 
 import time
@@ -114,6 +114,18 @@ class TestBaselines:
         # with no refill left to notice it; the end-of-stream check must.
         codec, data, pos = baseline_payloads[baseline]
         _stops(codec.decompress, _cut(data, pos, lambda size: size - short_by))
+
+    def test_raw_bits_cut(self, baseline_payloads, baseline):
+        # The directly coded coordinate bits follow the arithmetic payload:
+        # G-PCC's length-prefixed direct section is cut to a quarter, and
+        # kd-tree's, which runs to the end, loses the payload's last quarter.
+        codec, data, pos = baseline_payloads[baseline]
+        if baseline == "gpcc":
+            size, start = decode_uvarint(data, pos)
+            cut = _cut(data, start + size, _quarter)
+        else:
+            cut = data[: len(data) * 3 // 4]
+        _stops(codec.decompress, cut)
 
 
 @pytest.mark.parametrize("tree", ["octree", "quadtree"])

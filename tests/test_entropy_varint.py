@@ -73,6 +73,18 @@ class TestVarintSequences:
         data = encode_varints(values, signed=False)
         assert np.array_equal(decode_varints(data, 4, signed=False), values)
 
+    def test_ten_byte_overflow_rejected(self):
+        # The tenth byte holds bit 63 only; 0x7F there would wrap in uint64.
+        with pytest.raises(ValueError, match="overflows"):
+            decode_varints(bytes([0xFF] * 9 + [0x7F]), 1)
+
+    def test_ten_byte_limit_decodes(self):
+        assert decode_varints(bytes([0xFF] * 9 + [0x01]), 1).tolist() == [-(2**63)]
+        extremes = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0])
+        for signed in (True, False):
+            data = encode_varints(extremes, signed=signed)
+            assert np.array_equal(decode_varints(data, 4, signed=signed), extremes)
+
     def test_small_deltas_are_compact(self):
         # The motivating case: delta-encoded coordinates near zero.
         deltas = np.zeros(1000, dtype=np.int64)

@@ -294,14 +294,14 @@ class TestDenseHeaderMutations:
             DBGCDecompressor().decompress(blob)
 
     def test_v2_inflated_occupancy_count_rejected_fast(self, v2_blob):
-        # The occupancy decoder stops at the end of its stream instead of
-        # decoding (and allocating) the claimed count from phantom bits.
+        # The claimed count is checked against depth x points (10,790 for
+        # this section) before any of it is decoded or allocated.
         assert _with_occupancy_count(v2_blob, 1586) == v2_blob
         blob = _with_occupancy_count(v2_blob, 3_000_000)
         tracemalloc.start()
         start = time.perf_counter()
         try:
-            with pytest.raises(ValueError, match="past its end"):
+            with pytest.raises(ValueError, match="occupancy count"):
                 DBGCDecompressor().decompress(blob)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]

@@ -7,6 +7,7 @@ interpreter.  These tests flip bits, truncate, and shuffle real payloads.
 """
 
 import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -166,7 +167,7 @@ def _raises_within(decode, data, peak_bytes):
     assert peak < peak_bytes
 
 
-def _full_tree_section(dims, version, depth):
+def _full_tree_section(dims, version, depth, backend="rans"):
     """A one-point tree section whose every level claims all children full."""
     fanout = 1 << dims
     n_occupancy = (fanout**depth - 1) // (fanout - 1)
@@ -180,7 +181,7 @@ def _full_tree_section(dims, version, depth):
         stream = arithmetic_encode(symbols, alphabet)
     else:
         encode_uvarint(n_occupancy, out)
-        stream = encode_tagged_symbols(symbols, alphabet, "rans")
+        stream = encode_tagged_symbols(symbols, alphabet, backend)
     encode_uvarint(len(stream), out)
     return bytes(out) + stream
 
@@ -193,10 +194,18 @@ class TestInflatedClaims:
         [(OctreeCodec(0.04), 3, 7), (QuadtreeCodec(0.04), 2, 10)],
         ids=["octree", "quadtree"],
     )
-    @pytest.mark.parametrize("version", [1, 2])
-    def test_tree_levels_bounded_by_point_count(self, codec, dims, depth, version):
-        data = _full_tree_section(dims, version, depth)
+    @pytest.mark.parametrize(
+        "version, backend",
+        [(1, None), (2, "rans"), (2, "adaptive-arith")],
+        ids=["1", "2", "2-adaptive-arith"],
+    )
+    def test_tree_levels_bounded_by_point_count(self, codec, dims, depth, version, backend):
+        # A v2 section claims one symbol per node of the full tree; the
+        # claim is checked against the point count before it is decoded.
+        data = _full_tree_section(dims, version, depth, backend)
+        start = time.perf_counter()
         _raises_within(lambda d: codec.decode(d, version=version), data, 16 << 20)
+        assert time.perf_counter() - start < 1.0
 
     def test_quadtree_depth_beyond_morton_capacity_rejected(self):
         # An empty v1 occupancy stream decodes one phantom level per

@@ -12,6 +12,7 @@ replay, with a clean scrub.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import socket
 import sqlite3
@@ -248,33 +249,103 @@ def test_file_store_recover_rolls_back_torn_writes(tmp_path):
     assert reopened.payload_crc(1) == zlib.crc32(b"\x01" * 32)
 
 
-def test_sqlite_recover_replays_committed_and_rolls_back_torn(tmp_path):
+class _OnCommit:
+    """A store's SQLite connection whose ``commit()`` calls ``hook`` first."""
+
+    def __init__(self, conn: sqlite3.Connection, hook) -> None:
+        self._conn = conn
+        self._hook = hook
+
+    def __getattr__(self, name: str):
+        return getattr(self._conn, name)
+
+    def commit(self) -> None:
+        self._hook()
+        self._conn.commit()
+
+
+def test_sqlite_store_commits_once_per_frame(tmp_path):
+    db = tmp_path / "frames.sqlite"
+    commits = []
+    with SqliteFrameStore(db) as store:
+        store._conn = _OnCommit(store._conn, lambda: commits.append(1))
+        store.put_payload(0, b"\x01" * 32)
+        assert len(commits) == 1
+        store.put_cloud(1, PointCloud([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+        assert len(commits) == 2
+    conn = sqlite3.connect(db)
+    tables = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall()
+    conn.close()
+    assert tables == [("frames",)]
+
+
+def test_sqlite_store_ignores_an_old_intent_journal(tmp_path):
     import zlib
 
     db = tmp_path / "frames.sqlite"
     payload = b"\x42" * 64
     with SqliteFrameStore(db) as store:
         store.put_payload(5, payload)
-    # Craft the two crash shapes by hand: an intent whose frame row
-    # landed (only the clearance was lost) and an intent whose write
-    # never committed.
+    # Databases written by the earlier two-commit store also hold a
+    # `journal` table of write intents.  Hand-make one with both crash
+    # shapes: an intent whose frame row landed and one that never did.
     conn = sqlite3.connect(db)
+    conn.execute(
+        "CREATE TABLE journal ("
+        " frame_index INTEGER PRIMARY KEY,"
+        " kind TEXT NOT NULL,"
+        " crc32 INTEGER NOT NULL)"
+    )
     conn.execute(
         "INSERT INTO journal VALUES (?, ?, ?)", (5, "payload", zlib.crc32(payload))
     )
     conn.execute("INSERT INTO journal VALUES (?, ?, ?)", (9, "payload", 12345))
     conn.commit()
     conn.close()
-    reopened = SqliteFrameStore(db)
-    report = reopened.last_recovery
-    assert report.replayed == 1 and report.rolled_back == 1
-    assert reopened.frame_indices() == [5]
-    assert reopened.get_payload(5) == payload
-    # The journal table is clear again.
-    conn = sqlite3.connect(db)
-    assert conn.execute("SELECT COUNT(*) FROM journal").fetchone()[0] == 0
-    conn.close()
-    reopened.close()
+    # `frames` is authoritative: the committed frame reads back, the torn
+    # intent left no frame, and the store takes new writes.
+    with SqliteFrameStore(db) as reopened:
+        assert reopened.frame_indices() == [5]
+        assert reopened.get_payload(5) == payload
+        assert reopened.payload_crc(5) == zlib.crc32(payload)
+        reopened.put_payload(6, b"\x06" * 8)
+    with SqliteFrameStore(db) as again:
+        assert again.frame_indices() == [5, 6]
+
+
+_CRASH_EXIT = 17
+
+
+def _crash_in_second_commit(db: str) -> None:
+    """Store frame 0, then exit the process inside frame 1's commit.
+
+    Frame 1 outgrows SQLite's 2 MB page cache, so part of it reaches the
+    database file before the commit: the exit leaves a torn write and a
+    hot rollback journal.
+    """
+    store = SqliteFrameStore(db)
+    store.put_payload(0, b"\x00" * 64)
+    store._conn = _OnCommit(store._conn, lambda: os._exit(_CRASH_EXIT))
+    store.put_payload(1, b"\x01" * (3 << 20))
+
+
+def test_sqlite_crash_before_commit_rolls_back_on_open(tmp_path):
+    db = tmp_path / "frames.sqlite"
+    child = multiprocessing.get_context("spawn").Process(
+        target=_crash_in_second_commit, args=(str(db),)
+    )
+    child.start()
+    child.join(timeout=60)
+    assert child.exitcode == _CRASH_EXIT
+    hot_journal = tmp_path / "frames.sqlite-journal"
+    assert hot_journal.exists()
+    with SqliteFrameStore(db) as store:
+        # Opening rolled the torn write back: frame 1 is not stored, and
+        # a retry of it stores.
+        assert not hot_journal.exists()
+        assert store.frame_indices() == [0]
+        store.put_payload(1, b"\x01" * 64)
+        assert store.frame_indices() == [0, 1]
 
 
 def test_sqlite_cross_kind_conflict_under_threads():
@@ -344,6 +415,28 @@ def test_scrub_without_repair_reports_only(tmp_path):
         assert not report.clean
         # Still broken on the next audit — nothing was touched.
         assert not store.scrub(repair=False).clean
+
+
+def test_scrub_cli_audits_and_repairs_on_disk_sqlite_shards(tmp_path, capsys):
+    from repro.cli import main
+
+    with ShardedFrameStore.sqlite(2, directory=tmp_path, replication=2) as store:
+        for i in range(4):
+            store.put_payload(i, bytes([i]) * 50)
+    argv = ["scrub", str(tmp_path), "--replication", "2"]
+    assert main(argv) == 0
+    assert "4 frame(s), 8 healthy cop(ies), 0 corrupt" in capsys.readouterr().out
+    # Overwrite one copy by hand; the scrub repairs it from its replica.
+    conn = sqlite3.connect(tmp_path / "shard_0.sqlite")
+    conn.execute("UPDATE frames SET data = ? WHERE frame_index = 2", (b"garbage",))
+    conn.commit()
+    conn.close()
+    assert main(argv) == 0
+    assert "1 corrupt, 0 missing, 1 repaired" in capsys.readouterr().out
+    assert main(argv) == 0
+    assert "8 healthy cop(ies), 0 corrupt" in capsys.readouterr().out
+    with ShardedFrameStore.sqlite(2, directory=tmp_path, replication=2) as store:
+        assert store.get_payload(2) == bytes([2]) * 50
 
 
 def test_sharded_byte_accounting_multithreaded():
