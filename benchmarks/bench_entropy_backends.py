@@ -4,7 +4,7 @@ The paper chooses Deflate for the azimuthal streams (Step 6) and arithmetic
 coding for the polar/radial streams (Steps 7/8).  This bench re-codes the
 real delta streams of one frame with every back-end we implement —
 adaptive arithmetic, our Deflate, canonical Huffman, Rice, bit packing,
-Sprintz-style prediction, and the vectorized rANS backend — quantifying
+Sprintz-style prediction, and the vectorized rANS coder — quantifying
 the codec choices, and checks the rANS contract on the hot streams: at
 least 2x faster than adaptive arithmetic at a size within 2%.
 """
@@ -16,14 +16,24 @@ import numpy as np
 from benchmarks.ablation_codecs.bitpacking import bitpack_encode
 from benchmarks.ablation_codecs.golomb import rice_encode
 from benchmarks.ablation_codecs.predictive import sprintz_encode
+from benchmarks.ablation_codecs.rans import (
+    rans_decode_ints,
+    rans_decode_symbols,
+    rans_encode_ints,
+    rans_encode_symbols,
+)
 from benchmarks.common import frame, write_result
 from repro.core import DBGCParams
 from repro.core.clustering import cluster_approx
 from repro.core.grouping import split_into_groups
 from repro.core.polyline import organize_polylines
 from repro.datasets import SensorModel
-from repro.entropy.arithmetic import encode_int_sequence
-from repro.entropy.backend import get_backend
+from repro.entropy.arithmetic import (
+    arithmetic_decode,
+    arithmetic_encode,
+    decode_int_sequence,
+    encode_int_sequence,
+)
 from repro.entropy.deflate import deflate_compress
 from repro.entropy.huffman import huffman_compress
 from repro.entropy.varint import encode_varints
@@ -38,7 +48,7 @@ BACKENDS = {
     "rice": rice_encode,
     "bitpack": bitpack_encode,
     "sprintz": sprintz_encode,
-    "rans": lambda v: get_backend("rans").encode_ints(v),
+    "rans": rans_encode_ints,
 }
 
 
@@ -124,7 +134,7 @@ def test_rans_vs_adaptive_hot_streams(benchmark):
     """The rANS acceptance contract on the two hottest streams.
 
     Occupancy (the full-cloud octree byte stream) and Δφ dominate the
-    entropy-coding wall-clock; the vectorized backend must be at least 2x
+    entropy-coding wall-clock; the vectorized coder must be at least 2x
     faster end-to-end (encode + decode) while staying within 2% of the
     adaptive coder's size.
     """
@@ -136,31 +146,30 @@ def test_rans_vs_adaptive_hot_streams(benchmark):
     )
     d_phi = _main_group_streams()["d_phi"]
 
-    adaptive = get_backend("adaptive-arith")
-    rans = get_backend("rans")
-    rows = []
-    for name, run in (
-        (
-            "occupancy",
-            lambda b: b.decode(b.encode(occupancy, 256), occupancy.size, 256),
+    # (encode, decode) per coder, for a symbol stream and an int stream.
+    adaptive = {
+        "occupancy": (
+            lambda: arithmetic_encode(occupancy, 256),
+            lambda data: arithmetic_decode(data, occupancy.size, 256),
         ),
-        ("d_phi", lambda b: b.decode_ints(b.encode_ints(d_phi))),
-    ):
-        reference = occupancy if name == "occupancy" else d_phi
-        decoded_a, t_adaptive = _best_of(lambda: run(adaptive))
-        decoded_r, t_rans = _best_of(lambda: run(rans))
+        "d_phi": (lambda: encode_int_sequence(d_phi), decode_int_sequence),
+    }
+    rans = {
+        "occupancy": (
+            lambda: rans_encode_symbols(occupancy, 256),
+            lambda data: rans_decode_symbols(data, occupancy.size, 256),
+        ),
+        "d_phi": (lambda: rans_encode_ints(d_phi), rans_decode_ints),
+    }
+    rows = []
+    for name, reference in (("occupancy", occupancy), ("d_phi", d_phi)):
+        (enc_a, dec_a), (enc_r, dec_r) = adaptive[name], rans[name]
+        decoded_a, t_adaptive = _best_of(lambda: dec_a(enc_a()))
+        decoded_r, t_rans = _best_of(lambda: dec_r(enc_r()))
         assert np.array_equal(decoded_a, reference)
         assert np.array_equal(decoded_r, reference)
-        size_a = len(
-            adaptive.encode(occupancy, 256)
-            if name == "occupancy"
-            else adaptive.encode_ints(d_phi)
-        )
-        size_r = len(
-            rans.encode(occupancy, 256)
-            if name == "occupancy"
-            else rans.encode_ints(d_phi)
-        )
+        size_a = len(enc_a())
+        size_r = len(enc_r())
         speedup = t_adaptive / t_rans
         ratio = size_r / size_a
         rows.append(
@@ -176,8 +185,7 @@ def test_rans_vs_adaptive_hot_streams(benchmark):
             title="rANS vs adaptive arithmetic, encode+decode (kitti-city)",
         ),
     )
+    encode_occupancy, decode_occupancy = rans["occupancy"]
     benchmark.pedantic(
-        lambda: rans.decode(rans.encode(occupancy, 256), occupancy.size, 256),
-        rounds=1,
-        iterations=1,
+        lambda: decode_occupancy(encode_occupancy()), rounds=1, iterations=1
     )

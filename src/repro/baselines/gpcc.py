@@ -27,7 +27,7 @@ from repro.entropy.arithmetic import (
     ArithmeticDecoder,
     ArithmeticEncoder,
 )
-from repro.entropy.backend import decode_tagged_ints, encode_tagged_ints, get_backend
+from repro.entropy.backend import decode_tagged_ints, encode_tagged_ints
 from repro.entropy.bitio import BitReader, BitWriter
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry.bbox import BoundingCube
@@ -46,14 +46,6 @@ class GpccCompressor(GeometryCompressor):
     """Octree + parent-popcount contexts + direct point coding."""
 
     name = "G-PCC"
-
-    def __init__(self, q_xyz: float, backend: str = "adaptive-arith") -> None:
-        super().__init__(q_xyz)
-        # The occupancy and IDCM-flag streams are context-interleaved and
-        # adapt symbol-by-symbol, which is incompatible with a two-pass
-        # table-building coder — they always use adaptive arithmetic.  The
-        # backend only switches the self-contained leaf-count stream.
-        self.backend = get_backend(backend)
 
     def _occupancy_models(self) -> dict[int, AdaptiveModel]:
         # Lazily built: context = the parent's occupancy byte (0 at the root),
@@ -136,9 +128,7 @@ class GpccCompressor(GeometryCompressor):
         direct_payload = direct.getvalue()
         encode_uvarint(len(direct_payload), out)
         out += direct_payload
-        out += encode_tagged_ints(
-            np.asarray(leaf_counts, dtype=np.int64) - 1, self.backend
-        )
+        out += encode_tagged_ints(np.asarray(leaf_counts, dtype=np.int64) - 1)
         return bytes(out)
 
     def decompress(self, data: bytes) -> PointCloud:

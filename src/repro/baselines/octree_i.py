@@ -26,7 +26,6 @@ from repro.entropy.backend import (
     decode_tagged_symbols,
     encode_tagged_ints,
     encode_tagged_symbols,
-    get_backend,
 )
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry.bbox import BoundingCube
@@ -55,9 +54,8 @@ class OctreeICompressor(GeometryCompressor):
 
     name = "Octree_i"
 
-    def __init__(self, q_xyz: float, backend: str = "adaptive-arith") -> None:
+    def __init__(self, q_xyz: float) -> None:
         super().__init__(q_xyz)
-        self.backend = get_backend(backend)
         self._plain = OctreeCodec(self.leaf_side)
 
     def compress(self, cloud: PointCloud) -> bytes:
@@ -90,14 +88,12 @@ class OctreeICompressor(GeometryCompressor):
         encode_uvarint(len(groups), out)
         for context in sorted(groups):
             symbols = groups[context]
-            payload = encode_tagged_symbols(
-                np.asarray(symbols, dtype=np.int64), 256, self.backend
-            )
+            payload = encode_tagged_symbols(np.asarray(symbols, dtype=np.int64), 256)
             encode_uvarint(context, out)
             encode_uvarint(len(symbols), out)
             encode_uvarint(len(payload), out)
             out += payload
-        out += encode_tagged_ints(structure.leaf_counts - 1, self.backend)
+        out += encode_tagged_ints(structure.leaf_counts - 1)
         return bytes(out)
 
     def decompress(self, data: bytes) -> PointCloud:
@@ -109,8 +105,7 @@ class OctreeICompressor(GeometryCompressor):
         depth, pos = decode_uvarint(data, pos)
         n_groups, pos = decode_uvarint(data, pos)
         # Each group is a self-contained tagged stream, so it decodes fully
-        # upfront; the traversal below consumes it through a cursor.  This
-        # also lets group streams use the vectorized backend.
+        # upfront; the traversal below consumes it through a cursor.
         group_symbols: dict[int, np.ndarray] = {}
         cursors: dict[int, int] = {}
         for _ in range(n_groups):

@@ -85,6 +85,11 @@ def _add_sensor_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _frame_list(text: str) -> frozenset[int]:
+    """``--disconnect-frames``: comma-separated frame numbers."""
+    return frozenset(int(i) for i in text.split(",") if i.strip())
+
+
 def _emit_metrics(recorder, dest: str) -> None:
     """Write the observability report as JSON; ``-`` prints to stdout."""
     from repro import observability as obs
@@ -102,18 +107,11 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     from repro import observability as obs
 
     cloud = _load_cloud(Path(args.input))
-    params = DBGCParams(
-        q_xyz=args.q,
-        strict_cartesian=args.strict,
-        entropy_backend=args.entropy_backend,
-    )
+    params = DBGCParams(q_xyz=args.q, strict_cartesian=args.strict)
     compressor = DBGCCompressor(params, sensor=_sensor_from_args(args))
     start = time.perf_counter()
-    if args.metrics:
-        with obs.recording() as recorder:
-            result = compressor.compress_detailed(cloud)
-    else:
-        recorder = None
+    metrics_ctx = obs.recording() if args.metrics else contextlib.nullcontext()
+    with metrics_ctx as recorder:
         result = compressor.compress_detailed(cloud)
     elapsed = time.perf_counter() - start
     Path(args.output).write_bytes(result.payload)
@@ -145,7 +143,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
     header, dense, groups, outlier, attrs = unpack_container(payload)
     print(f"{args.input}: {len(payload)} bytes, DBGC v{payload[4]}")
     print(f"  error bound q_xyz : {header.q_xyz} m")
-    print(f"  entropy backend   : {header.entropy_backend}")
     print(f"  angular steps     : u_theta={header.u_theta:.6f}, u_phi={header.u_phi:.6f}")
     print(
         f"  coding flags      : spherical={header.spherical_conversion}, "
@@ -316,15 +313,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     sensor = _sensor_from_args(args)
     shaper = BandwidthShaper(args.bandwidth) if args.bandwidth > 0 else None
-    disconnect_frames = frozenset(
-        int(i) for i in args.disconnect_frames.split(",") if i.strip()
-    )
     spec = FaultSpec(
         corrupt_rate=args.corrupt_rate,
         disconnect_rate=args.disconnect_rate,
         ack_drop_rate=args.ack_drop_rate,
         jitter=args.jitter,
-        force_disconnect_frames=disconnect_frames,
+        force_disconnect_frames=args.disconnect_frames,
     )
     faulty = spec != FaultSpec()
     channel = FaultyChannel(shaper, seed=args.fault_seed, spec=spec) if faulty else shaper
@@ -474,9 +468,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.eval.reporting import render_table
     from repro.system import FaultSpec, FleetSpec, ShardedFrameStore, run_fleet
 
-    disconnect_local = frozenset(
-        int(i) for i in args.disconnect_frames.split(",") if i.strip()
-    )
     spec = FleetSpec(
         n_clients=args.clients,
         frames_per_client=args.frames,
@@ -485,7 +476,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             corrupt_rate=args.corrupt_rate,
             ack_drop_rate=args.ack_drop_rate,
         ),
-        force_disconnect_local=disconnect_local,
+        force_disconnect_local=args.disconnect_frames,
         bandwidth_mbps=args.bandwidth if args.bandwidth > 0 else None,
         latency_s=args.latency,
         ack_timeout=args.ack_timeout,
@@ -559,14 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, default=0.02, help="error bound in meters")
     p.add_argument(
         "--strict", action="store_true", help="hard per-dimension error bound"
-    )
-    from repro.entropy.backend import available_backends
-
-    p.add_argument(
-        "--entropy-backend",
-        default="adaptive-arith",
-        choices=available_backends(),
-        help="entropy coder for the compressed streams",
     )
     p.add_argument(
         "--metrics",
@@ -708,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bandwidth jitter amplitude in [0, 1)",
     )
     p.add_argument(
-        "--disconnect-frames", default="",
+        "--disconnect-frames", type=_frame_list, default="",
         help="comma-separated frame indices whose first send is cut mid-record",
     )
     p.add_argument(
@@ -798,7 +781,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="probability a server ACK is lost (exercises dedupe)",
     )
     p.add_argument(
-        "--disconnect-frames", default="",
+        "--disconnect-frames", type=_frame_list, default="",
         help="comma-separated local frame numbers cut mid-record on every client",
     )
     p.add_argument(

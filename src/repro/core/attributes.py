@@ -14,11 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.entropy.arithmetic import decode_int_sequence
-from repro.entropy.backend import (
-    EntropyBackend,
-    decode_tagged_ints,
-    encode_tagged_ints,
-)
+from repro.entropy.backend import decode_tagged_ints, encode_tagged_ints
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 
 __all__ = ["encode_attributes", "decode_attributes", "DEFAULT_ATTRIBUTE_STEP"]
@@ -31,7 +27,6 @@ def encode_attributes(
     attributes: dict[str, np.ndarray],
     mapping: np.ndarray,
     steps: dict[str, float] | float = DEFAULT_ATTRIBUTE_STEP,
-    backend: str | EntropyBackend = "adaptive-arith",
 ) -> bytes:
     """Encode named scalar attributes in decoded point order.
 
@@ -44,9 +39,6 @@ def encode_attributes(
     steps:
         Quantization step per attribute (or one step for all).  The
         reconstruction error per value is at most ``step / 2``.
-    backend:
-        Entropy backend for the delta streams (streams are tagged, so the
-        decoder needs no configuration).
     """
     out = bytearray()
     encode_uvarint(len(attributes), out)
@@ -68,7 +60,7 @@ def encode_attributes(
         reordered = np.empty_like(values)
         reordered[mapping] = values
         ints = np.round(reordered / step).astype(np.int64)
-        payload = encode_tagged_ints(np.diff(ints, prepend=np.int64(0)), backend)
+        payload = encode_tagged_ints(np.diff(ints, prepend=np.int64(0)))
         encode_uvarint(len(payload), out)
         out += payload
     return bytes(out)

@@ -1,16 +1,16 @@
 """Final bit-sequence layout (paper Section 3.7, Figure 8).
 
-The container records the error bound, the coding flags, the frame's
-entropy-backend tag and the sensor's angular steps, followed by the three
+The container records the error bound, the coding flags, the entropy
+coder's tag and the sensor's angular steps, followed by the three
 length-prefixed components: the octree stream for dense points, one
 coordinate stream per radial group (each group carries its own ``r_max``
 inside, Figure 8b), and the outlier stream.  The header makes the
 decompressor fully self-contained.
 
-Format version 2 adds the entropy-backend byte (the frame-level default;
-every entropy-coded stream additionally carries its own tag byte, so the
-header field is informational) and covers the version-2 stream layouts of
-the sub-codecs — see docs/FORMAT.md.
+Format version 2 adds the entropy tag byte (always 0, the adaptive
+arithmetic coder, the tag every entropy-coded stream also starts with; any
+other value is rejected) and covers the version-2 stream layouts of the
+sub-codecs — see docs/FORMAT.md.
 
 Format version 3 marks a *delta frame* (inter-frame temporal coding,
 :mod:`repro.core.temporal`): the version byte doubles as the frame-type
@@ -30,7 +30,7 @@ import struct
 from dataclasses import dataclass
 
 from repro.core.params import DBGCParams
-from repro.entropy.backend import backend_for_tag, get_backend
+from repro.entropy.backend import TAG
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 
 __all__ = [
@@ -64,8 +64,6 @@ class ContainerHeader:
     spherical_conversion: bool
     radial_reference: bool
     strict_cartesian: bool
-    #: Frame-level default entropy backend (streams carry their own tags).
-    entropy_backend: str = "adaptive-arith"
     #: Container format version (1, 2 = intra frame; 3 = delta frame).
     version: int = 2
     #: CRC-32 of the predictor state a delta frame was coded against
@@ -87,7 +85,6 @@ class ContainerHeader:
             spherical_conversion=self.spherical_conversion,
             radial_reference=self.radial_reference,
             strict_cartesian=self.strict_cartesian,
-            entropy_backend=self.entropy_backend,
         )
 
 
@@ -146,7 +143,7 @@ def pack_container(
     out = bytearray(_MAGIC)
     out.append(_VERSION)
     out.append(_flags_byte(params))
-    out.append(get_backend(params.entropy_backend).tag)
+    out.append(TAG)
     out += _FIXED.pack(params.q_xyz, u_theta, u_phi, params.th_r)
     return _pack_sections(
         out, dense_payload, group_payloads, outlier_payload, attribute_payload
@@ -173,7 +170,7 @@ def pack_container_v3(
     out = bytearray(_MAGIC)
     out.append(_VERSION_DELTA)
     out.append(_flags_byte(params))
-    out.append(get_backend(params.entropy_backend).tag)
+    out.append(TAG)
     out += _FIXED.pack(params.q_xyz, u_theta, u_phi, params.th_r)
     dx, dy, dz = ego_delta
     out += _V3_EXT.pack(predictor_fingerprint & 0xFFFFFFFF, dx, dy, dz)
@@ -207,13 +204,13 @@ def unpack_container(
         raise ValueError(f"unsupported DBGC version {version}")
     flags = data[5]
     if version == 1:
-        # v1 has no backend byte: flags at 5, fixed header at 6.
-        backend_name = "adaptive-arith"
+        # v1 has no tag byte: flags at 5, fixed header at 6.
         pos = 6
     else:
         if len(data) < 7:
             raise ValueError("truncated DBGC container")
-        backend_name = backend_for_tag(data[6]).name
+        if data[6] != TAG:
+            raise ValueError(f"unknown entropy tag {data[6]} in DBGC header")
         pos = 7
     if pos + _FIXED.size > len(data):
         raise ValueError("truncated DBGC container")
@@ -235,7 +232,6 @@ def unpack_container(
         spherical_conversion=bool(flags & _FLAG_SPHERICAL),
         radial_reference=bool(flags & _FLAG_RADIAL),
         strict_cartesian=bool(flags & _FLAG_STRICT),
-        entropy_backend=backend_name,
         version=version,
         predictor_fingerprint=fingerprint,
         ego_delta=ego_delta,

@@ -35,7 +35,7 @@ def encode_outliers(
     if n == 0:
         return bytes(out), np.empty(0, dtype=np.int64)
     if params.outlier_mode == "quadtree":
-        codec = QuadtreeCodec(params.leaf_side, backend=params.entropy_backend)
+        codec = QuadtreeCodec(params.leaf_side)
         xy = xyz[:, :2]
         tree_payload = codec.encode(xy)
         mapping = codec.mapping(xy)
@@ -44,12 +44,10 @@ def encode_outliers(
         # z travels in decoded (Morton) order: quantize, delta, entropy-code.
         order = np.argsort(mapping, kind="stable")  # decoded position -> original
         z_ints = np.round(xyz[order, 2] / params.leaf_side).astype(np.int64)
-        out += encode_tagged_ints(
-            np.diff(z_ints, prepend=np.int64(0)), params.entropy_backend
-        )
+        out += encode_tagged_ints(np.diff(z_ints, prepend=np.int64(0)))
         return bytes(out), mapping
     if params.outlier_mode == "octree":
-        codec = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
+        codec = OctreeCodec(params.leaf_side)
         out += codec.encode(xyz)
         return bytes(out), codec.mapping(xyz)
     # "none": raw float32 coordinates (the Table 2 no-compression baseline).

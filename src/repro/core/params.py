@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from repro.entropy.backend import available_backends
-
 __all__ = ["DBGCParams"]
 
 
@@ -74,13 +72,6 @@ class DBGCParams:
         Tighten spherical quantizers by ``1/sqrt(3)`` so the per-dimension
         Cartesian error of polyline points stays below ``q_xyz`` (the
         paper's lemma only bounds the Euclidean error).
-    entropy_backend:
-        Which entropy coder backs the arithmetic-coded streams
-        (occupancy, Δφ, ∇L_r, L_ref, outlier z, counts, attributes):
-        ``"adaptive-arith"`` — the paper's adaptive arithmetic coder, or
-        ``"rans"`` — the numpy-vectorized semi-static range coder (a
-        multi-x speedup at near-parity ratio).  Streams are tagged, so the
-        decompressor needs no configuration.
     temporal:
         Enable inter-frame delta coding for stream compression
         (:mod:`repro.core.temporal`, format v3): non-keyframes reuse the
@@ -109,7 +100,6 @@ class DBGCParams:
     grouping: bool = True
     outlier_mode: str = "quadtree"
     strict_cartesian: bool = False
-    entropy_backend: str = "adaptive-arith"
     temporal: bool = False
     keyframe_interval: int = 8
 
@@ -132,11 +122,6 @@ class DBGCParams:
             raise ValueError(f"th_r must be positive, got {self.th_r}")
         if self.outlier_mode not in ("quadtree", "octree", "none"):
             raise ValueError(f"unknown outlier_mode {self.outlier_mode!r}")
-        if self.entropy_backend not in available_backends():
-            raise ValueError(
-                f"unknown entropy_backend {self.entropy_backend!r}; "
-                f"available: {', '.join(available_backends())}"
-            )
         if self.keyframe_interval < 1:
             raise ValueError(
                 f"keyframe_interval must be >= 1, got {self.keyframe_interval}"

@@ -238,7 +238,7 @@ class DBGCCompressor:
             group_globals = [sparse_idx[g] for g in groups]
 
             with recorder.span("dbgc.oct"):
-                octree = OctreeCodec(params.leaf_side, backend=params.entropy_backend)
+                octree = OctreeCodec(params.leaf_side)
                 dense_xyz = xyz[dense_idx]
                 dense_payload = octree.encode(dense_xyz)
                 delta = None
@@ -313,9 +313,7 @@ class DBGCCompressor:
             attribute_payload = b""
             if attributes:
                 with recorder.span("dbgc.attr"):
-                    attribute_payload = encode_attributes(
-                        attributes, mapping, attribute_steps, backend=params.entropy_backend
-                    )
+                    attribute_payload = encode_attributes(attributes, mapping, attribute_steps)
                 sizes["attributes"] = len(attribute_payload)
                 recorder.add_bytes("stream.attributes", len(attribute_payload))
 

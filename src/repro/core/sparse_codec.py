@@ -41,7 +41,11 @@ import numpy as np
 
 from repro import observability as obs
 from repro.core.params import DBGCParams
-from repro.entropy.arithmetic import arithmetic_decode, decode_int_sequence
+from repro.entropy.arithmetic import (
+    arithmetic_decode,
+    decode_int_sequence,
+    encode_int_sequence,
+)
 from repro.core.polyline import organize_polylines
 from repro.core.reference import (
     decode_radial,
@@ -50,13 +54,10 @@ from repro.core.reference import (
     encode_radial_plain,
 )
 from repro.entropy.backend import (
-    EntropyBackend,
-    backend_for_tag,
     decode_tagged_ints,
     decode_tagged_symbols,
     encode_tagged_ints,
     encode_tagged_symbols,
-    get_backend,
 )
 from repro.entropy.deflate import deflate_compress, deflate_decompress
 from repro.entropy.varint import (
@@ -139,53 +140,39 @@ def _rebuild_lines(
 
 
 _STREAM_DEFLATE = 0
-#: Entropy-backend streams use mode byte ``backend.tag + 1``; the adaptive
-#: arithmetic backend (tag 0) therefore keeps the historical mode byte 1.
+_STREAM_ARITHMETIC = 1
 
 
-def _pack_stream(
-    values: np.ndarray, backend: str | EntropyBackend = "adaptive-arith"
-) -> bytes:
-    """Entropy-code an int stream with the better of Deflate / the backend.
+def _pack_stream(values: np.ndarray) -> bytes:
+    """Entropy-code an int stream with the better of Deflate / arithmetic.
 
     The paper uses Deflate for the azimuthal streams because repeated
     cross-line patterns favor LZ matching (Step 6); on data whose deltas
-    are near-constant-with-noise the entropy backend wins instead.  A
-    one-byte mode tag records the choice (0 = Deflate, otherwise
-    ``backend.tag + 1``), so the codec always takes the smaller encoding
-    and the decoder follows the stream, not the configuration.
+    are near-constant-with-noise the arithmetic coder wins instead.  A
+    one-byte mode records the choice (0 = Deflate, 1 = arithmetic int
+    sequence), so the codec always takes the smaller encoding.
     """
-    b = get_backend(backend)
     deflated = deflate_compress(encode_varints(values, signed=True))
-    coded = b.encode_ints(values)
+    coded = encode_int_sequence(values)
     if len(deflated) < len(coded):
         return bytes([_STREAM_DEFLATE]) + deflated
-    return bytes([b.tag + 1]) + coded
+    return bytes([_STREAM_ARITHMETIC]) + coded
 
 
 def _unpack_stream(data: bytes, count: int, version: int = 2) -> np.ndarray:
     """Inverse of :func:`_pack_stream`.
 
-    ``version=1`` reads the legacy layout, where mode byte 1 was a
-    checksum-less arithmetic int sequence rather than a backend tag.
+    ``version=1`` reads the legacy layout, whose arithmetic int sequence
+    (mode byte 1) has no checksum.
     """
     if not data:
         raise ValueError("empty entropy stream")
     mode, payload = data[0], data[1:]
     if mode == _STREAM_DEFLATE:
         return decode_varints(deflate_decompress(payload), count, signed=True)
-    if version == 1:
-        if mode != 1:
-            raise ValueError(f"unknown stream mode byte {mode}")
-        values = decode_int_sequence(payload, checksum=False)
-        if values.size != count:
-            raise ValueError("entropy stream count mismatch")
-        return values
-    try:
-        backend = backend_for_tag(mode - 1)
-    except ValueError:
-        raise ValueError(f"unknown stream mode byte {mode}") from None
-    values = backend.decode_ints(payload)
+    if mode != _STREAM_ARITHMETIC:
+        raise ValueError(f"unknown stream mode byte {mode}")
+    values = decode_int_sequence(payload, checksum=version != 1)
     if values.size != count:
         raise ValueError("entropy stream count mismatch")
     return values
@@ -314,7 +301,6 @@ def _encode_temporal_tail(
     q_theta: float,
     q_phi: float,
     q_r: float,
-    backend: EntropyBackend,
 ) -> tuple[bytes, bytes]:
     """The temporal tail's ``(residual stream, selector stream)``."""
     prev_sparse, ego_delta = predictor
@@ -334,8 +320,8 @@ def _encode_temporal_tail(
     n_flagged = int(flagged.sum())
     encode_uvarint(n_flagged, sel_payload)
     if n_flagged:
-        sel_payload += encode_tagged_symbols(selectors[flagged], 3, backend)
-    return encode_tagged_ints(d3 - refs, backend), bytes(sel_payload)
+        sel_payload += encode_tagged_symbols(selectors[flagged], 3)
+    return encode_tagged_ints(d3 - refs), bytes(sel_payload)
 
 
 def _decode_temporal_d3(
@@ -473,31 +459,29 @@ def encode_sparse_group(
         lengths = [len(line) for line in lines]
         order = np.concatenate(lines)
 
-        backend = get_backend(params.entropy_backend)
-
         out = bytearray()
         encode_uvarint(int(order.size), out)
         encode_uvarint(len(lines), out)
         out += _RMAX.pack(r_max)
         sizes: dict[str, int] = {}
 
-        payload = encode_tagged_ints(np.asarray(lengths, dtype=np.int64), backend)
+        payload = encode_tagged_ints(np.asarray(lengths, dtype=np.int64))
         _append_stream(out, payload)
         sizes["lengths"] = len(payload)
 
         d1_heads, d1_tails = _heads_tails(lines_d1)
-        payload = _pack_stream(d1_heads, backend)
+        payload = _pack_stream(d1_heads)
         _append_stream(out, payload)
         sizes["d1_heads"] = len(payload)
-        payload = _pack_stream(d1_tails, backend)
+        payload = _pack_stream(d1_tails)
         _append_stream(out, payload)
         sizes["d1_tails"] = len(payload)
 
         d2_heads, d2_tails = _heads_tails(lines_d2)
-        payload = _pack_stream(d2_heads, backend)
+        payload = _pack_stream(d2_heads)
         _append_stream(out, payload)
         sizes["d2_heads"] = len(payload)
-        payload = _pack_stream(d2_tails, backend)
+        payload = _pack_stream(d2_tails)
         _append_stream(out, payload)
         sizes["d2_tails"] = len(payload)
 
@@ -511,22 +495,20 @@ def encode_sparse_group(
             ref_payload = bytearray()
             encode_uvarint(len(symbols), ref_payload)
             if len(symbols):
-                ref_payload += encode_tagged_symbols(
-                    np.asarray(symbols, dtype=np.int64), 4, backend
-                )
+                ref_payload += encode_tagged_symbols(np.asarray(symbols, dtype=np.int64), 4)
         else:
             nabla = encode_radial_plain(lines_d3)
             ref_payload = bytearray()
             encode_uvarint(0, ref_payload)
 
-        d3_payload = encode_tagged_ints(nabla, backend)
+        d3_payload = encode_tagged_ints(nabla)
         tail = _radial_tail(d3_payload, bytes(ref_payload))
         tail_sizes = {"d3": len(d3_payload), "l_ref": len(ref_payload)}
         temporal, points = False, None
         if predictor is not None:
             d1, d2, d3 = (np.concatenate(s) for s in (lines_d1, lines_d2, lines_d3))
             residual_payload, sel_payload = _encode_temporal_tail(
-                d1, d2, d3, lengths, predictor, q_theta, q_phi, q_r, backend
+                d1, d2, d3, lengths, predictor, q_theta, q_phi, q_r
             )
             delta_tail = _radial_tail(residual_payload, sel_payload)
             temporal = len(delta_tail) < len(tail)

@@ -473,7 +473,7 @@ def _encode_dense_delta(
     encode_uvarint(depth, out)
     encode_uvarint(len(occ_payload), out)
     out += occ_payload
-    out += encode_tagged_ints(structure.leaf_counts - 1, params.entropy_backend)
+    out += encode_tagged_ints(structure.leaf_counts - 1)
     if len(out) >= intra_size:
         return None
     context.occ_models = models

@@ -13,9 +13,8 @@ codec libraries:
 - :mod:`~repro.entropy.huffman` — canonical Huffman codec for byte streams.
 - :mod:`~repro.entropy.lz77` — hash-chain LZ77 tokenizer.
 - :mod:`~repro.entropy.deflate` — the LZ77+Huffman "deflate-style" codec.
-- :mod:`~repro.entropy.rans` — numpy-vectorized interleaved rANS coder.
-- :mod:`~repro.entropy.backend` — pluggable backend registry and the
-  tagged-stream helpers the codecs code through.
+- :mod:`~repro.entropy.backend` — the tagged-stream helpers the codecs
+  code through (one tag byte ahead of the arithmetic coder's bytes).
 """
 
 from repro.entropy.arithmetic import (
@@ -26,23 +25,15 @@ from repro.entropy.arithmetic import (
     encode_int_sequence,
 )
 from repro.entropy.backend import (
-    AdaptiveArithmeticBackend,
-    EntropyBackend,
-    RansBackend,
-    available_backends,
-    backend_for_tag,
     decode_tagged_ints,
     decode_tagged_symbols,
     encode_tagged_ints,
     encode_tagged_symbols,
-    get_backend,
-    register_backend,
 )
 from repro.entropy.bitio import BitReader, BitWriter
 from repro.entropy.deflate import deflate_compress, deflate_decompress
 from repro.entropy.huffman import huffman_compress, huffman_decompress
 from repro.entropy.lz77 import lz77_compress_tokens, lz77_decompress_tokens
-from repro.entropy.rans import rans_decode, rans_encode
 from repro.entropy.varint import (
     decode_varints,
     encode_varints,
@@ -51,16 +42,11 @@ from repro.entropy.varint import (
 )
 
 __all__ = [
-    "AdaptiveArithmeticBackend",
     "AdaptiveModel",
     "BitReader",
     "BitWriter",
-    "EntropyBackend",
-    "RansBackend",
     "arithmetic_decode",
     "arithmetic_encode",
-    "available_backends",
-    "backend_for_tag",
     "decode_int_sequence",
     "decode_tagged_ints",
     "decode_tagged_symbols",
@@ -71,14 +57,10 @@ __all__ = [
     "encode_tagged_ints",
     "encode_tagged_symbols",
     "encode_varints",
-    "get_backend",
     "huffman_compress",
     "huffman_decompress",
     "lz77_compress_tokens",
     "lz77_decompress_tokens",
-    "rans_decode",
-    "rans_encode",
-    "register_backend",
     "zigzag_decode",
     "zigzag_encode",
 ]

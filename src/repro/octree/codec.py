@@ -16,9 +16,8 @@ Stream layout (format version 2)::
       counts_stream (tagged int sequence of per-leaf counts - 1)
 
 The occupancy bytes of all levels travel as one flat entropy stream
-(breadth-first, level after level), so the decoder can batch-decode them
-with whichever backend the tag names before expanding the tree —
-the property the vectorized rANS backend needs to pay off.
+(breadth-first, level after level), so the decoder batch-decodes them
+before expanding the tree.
 
 Per-leaf point counts preserve the one-to-one mapping the problem statement
 requires (duplicated points are not merged — the analogue of disabling
@@ -37,12 +36,10 @@ from repro.entropy.arithmetic import (
     decode_int_sequence,
 )
 from repro.entropy.backend import (
-    EntropyBackend,
     decode_tagged_ints,
     decode_tagged_symbols,
     encode_tagged_ints,
     encode_tagged_symbols,
-    get_backend,
 )
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry.bbox import BoundingCube
@@ -66,19 +63,12 @@ class OctreeCodec:
     leaf_side:
         Side length of leaf cells; ``2 * q_xyz`` meets an error bound of
         ``q_xyz`` per dimension.
-    backend:
-        Entropy backend (registry name or instance) for the occupancy and
-        count streams.  Decoding follows the stream tags, so any codec
-        instance decodes payloads from any backend.
     """
 
-    def __init__(
-        self, leaf_side: float, backend: str | EntropyBackend = "adaptive-arith"
-    ):
+    def __init__(self, leaf_side: float):
         if leaf_side <= 0:
             raise ValueError(f"leaf_side must be positive, got {leaf_side}")
         self.leaf_side = float(leaf_side)
-        self.backend = get_backend(backend)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -111,10 +101,10 @@ class OctreeCodec:
         occupancy = structure.occupancy_stream()
         encode_uvarint(occupancy.size, out)
         if occupancy.size:
-            payload = encode_tagged_symbols(occupancy, 256, self.backend)
+            payload = encode_tagged_symbols(occupancy, 256)
             encode_uvarint(len(payload), out)
             out += payload
-        out += encode_tagged_ints(structure.leaf_counts - 1, self.backend)
+        out += encode_tagged_ints(structure.leaf_counts - 1)
         return bytes(out)
 
     # -- decoding ----------------------------------------------------------------

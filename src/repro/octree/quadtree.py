@@ -21,12 +21,10 @@ from repro.entropy.arithmetic import (
     decode_int_sequence,
 )
 from repro.entropy.backend import (
-    EntropyBackend,
     decode_tagged_ints,
     decode_tagged_symbols,
     encode_tagged_ints,
     encode_tagged_symbols,
-    get_backend,
 )
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry.bbox import pow2_cover
@@ -50,13 +48,10 @@ def _expand_level(node_codes: np.ndarray, occupancy: np.ndarray, n_points: int) 
 class QuadtreeCodec:
     """Quadtree codec over ``(x, y)`` with fixed leaf cell side."""
 
-    def __init__(
-        self, leaf_side: float, backend: str | EntropyBackend = "adaptive-arith"
-    ):
+    def __init__(self, leaf_side: float):
         if leaf_side <= 0:
             raise ValueError(f"leaf_side must be positive, got {leaf_side}")
         self.leaf_side = float(leaf_side)
-        self.backend = get_backend(backend)
 
     def _quantize(self, xy: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         lo = xy.min(axis=0)
@@ -98,10 +93,10 @@ class QuadtreeCodec:
         )
         encode_uvarint(occupancy.size, out)
         if occupancy.size:
-            payload = encode_tagged_symbols(occupancy, 16, self.backend)
+            payload = encode_tagged_symbols(occupancy, 16)
             encode_uvarint(len(payload), out)
             out += payload
-        out += encode_tagged_ints(counts - 1, self.backend)
+        out += encode_tagged_ints(counts - 1)
         return bytes(out)
 
     def decode(self, data: bytes, version: int = 2) -> np.ndarray:

@@ -80,16 +80,6 @@ class RecoveryReport:
     #: Stray artifacts removed (orphan CRC sidecars).
     orphans_removed: int = 0
 
-    @property
-    def clean(self) -> bool:
-        return self.rolled_back == 0 and self.orphans_removed == 0
-
-    def __str__(self) -> str:
-        return (
-            f"recovery: {self.rolled_back} rolled back, "
-            f"{self.orphans_removed} orphan(s) removed"
-        )
-
 
 @dataclass(frozen=True)
 class ScrubDefect:

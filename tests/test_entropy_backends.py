@@ -1,28 +1,31 @@
-"""Tests for the entropy-backend registry and the vectorized rANS coder."""
+"""Tests for the tagged entropy streams and the rANS ablation coder."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.ablation_codecs.rans import (
+    rans_decode,
+    rans_decode_ints,
+    rans_decode_symbols,
+    rans_encode,
+    rans_encode_ints,
+    rans_encode_symbols,
+)
 from repro.core import DBGCCompressor, DBGCDecompressor, DBGCParams
 from repro.core.container import unpack_container
+from repro.core.sparse_codec import _unpack_stream
 from repro.entropy.backend import (
-    AdaptiveArithmeticBackend,
-    RansBackend,
-    available_backends,
-    backend_for_tag,
     decode_tagged_ints,
     decode_tagged_symbols,
     encode_tagged_ints,
     encode_tagged_symbols,
-    get_backend,
-    register_backend,
 )
-from repro.entropy.rans import rans_decode, rans_encode
 from repro.geometry.points import PointCloud
 
-BACKEND_NAMES = ("adaptive-arith", "rans")
+#: Tag bytes no decoder accepts: format v2's retired ``rans`` tag and junk.
+OTHER_TAGS = (1, 250)
 
 
 class TestRansCodec:
@@ -90,52 +93,37 @@ class TestRansCodec:
         data = rans_encode(symbols, 256)
         assert np.array_equal(rans_decode(data, symbols.size, 256), symbols)
 
+    def test_small_stream_fallback(self):
+        # Below 1,024 symbols the framing carries an adaptive-arithmetic
+        # payload (mode 1); longer streams take rANS proper (mode 0).
+        small = np.arange(20) % 4
+        data = rans_encode_symbols(small, 4)
+        assert data[0] == 1
+        assert np.array_equal(rans_decode_symbols(data, small.size, 4), small)
+        big = np.arange(5000) % 4
+        data = rans_encode_symbols(big, 4)
+        assert data[0] == 0
+        assert np.array_equal(rans_decode_symbols(data, big.size, 4), big)
 
-class TestRegistry:
-    def test_available_backends(self):
-        names = available_backends()
-        assert "adaptive-arith" in names and "rans" in names
-
-    def test_get_backend_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown entropy backend"):
-            get_backend("no-such-coder")
-
-    def test_backend_for_tag_roundtrip(self):
-        for name in BACKEND_NAMES:
-            backend = get_backend(name)
-            assert backend_for_tag(backend.tag) is backend
-
-    def test_backend_for_unknown_tag(self):
-        with pytest.raises(ValueError):
-            backend_for_tag(250)
-
-    def test_register_rejects_conflicts(self):
-        class Impostor(AdaptiveArithmeticBackend):
-            tag = 9
-
-        with pytest.raises(ValueError):
-            register_backend(Impostor())
-
-    def test_params_validate_backend(self):
-        with pytest.raises(ValueError):
-            DBGCParams(entropy_backend="no-such-coder")
+    def test_ints_roundtrip(self):
+        rng = np.random.default_rng(5)
+        values = rng.integers(-(2**30), 2**30, size=2000)
+        assert np.array_equal(rans_decode_ints(rans_encode_ints(values)), values)
 
 
 class TestTaggedStreams:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_symbols_roundtrip_is_self_describing(self, backend):
+    def test_symbols_roundtrip_writes_tag_zero(self):
         rng = np.random.default_rng(4)
         symbols = rng.integers(0, 4, size=3000)
-        data = encode_tagged_symbols(symbols, 4, backend)
-        assert data[0] == get_backend(backend).tag
-        # No backend hint needed: the tag byte selects the decoder.
+        data = encode_tagged_symbols(symbols, 4)
+        assert data[0] == 0
         assert np.array_equal(decode_tagged_symbols(data, symbols.size, 4), symbols)
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_ints_roundtrip(self, backend):
+    def test_ints_roundtrip_writes_tag_zero(self):
         rng = np.random.default_rng(5)
         values = rng.integers(-(2**30), 2**30, size=2000)
-        data = encode_tagged_ints(values, backend)
+        data = encode_tagged_ints(values)
+        assert data[0] == 0
         assert np.array_equal(decode_tagged_ints(data), values)
 
     def test_empty_stream_raises(self):
@@ -144,50 +132,55 @@ class TestTaggedStreams:
         with pytest.raises(ValueError):
             decode_tagged_ints(b"")
 
-    def test_rans_small_stream_fallback(self):
-        backend = RansBackend()
-        small = np.arange(20) % 4
-        data = backend.encode(small, 4)
-        assert data[0] == RansBackend._MODE_ADAPTIVE
-        assert np.array_equal(backend.decode(data, small.size, 4), small)
-        big = np.arange(5000) % 4
-        data = backend.encode(big, 4)
-        assert data[0] == RansBackend._MODE_RANS
-        assert np.array_equal(backend.decode(data, big.size, 4), big)
+    @pytest.mark.parametrize("tag", OTHER_TAGS)
+    def test_other_tags_rejected(self, tag):
+        # Behind the tag, the rANS payloads format v2's tag 1 carried.
+        symbols = np.arange(3000) % 4
+        data = bytes([tag]) + rans_encode_symbols(symbols, 4)
+        with pytest.raises(ValueError, match="tag"):
+            decode_tagged_symbols(data, symbols.size, 4)
+        data = bytes([tag]) + rans_encode_ints(symbols)
+        with pytest.raises(ValueError, match="tag"):
+            decode_tagged_ints(data)
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @given(raw=st.lists(st.integers(0, 255), min_size=0, max_size=400))
     @settings(max_examples=25, deadline=None)
-    def test_occupancy_bytes_roundtrip_exact(self, backend, raw):
+    def test_occupancy_bytes_roundtrip_exact(self, raw):
         # Occupancy streams are alphabet-256 byte streams.
         symbols = np.array(raw, dtype=np.int64)
-        data = encode_tagged_symbols(symbols, 256, backend)
+        data = encode_tagged_symbols(symbols, 256)
         assert np.array_equal(
             decode_tagged_symbols(data, symbols.size, 256), symbols
         )
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @given(raw=st.lists(st.integers(-(2**40), 2**40), min_size=0, max_size=300))
     @settings(max_examples=25, deadline=None)
-    def test_zigzag_delta_roundtrip_exact(self, backend, raw):
+    def test_zigzag_delta_roundtrip_exact(self, raw):
         # The Δθ / Δφ / ∇r delta streams are signed-int sequences.
         values = np.array(raw, dtype=np.int64)
-        data = encode_tagged_ints(values, backend)
+        data = encode_tagged_ints(values)
         assert np.array_equal(decode_tagged_ints(data), values)
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @given(raw=st.lists(st.integers(0, 3), min_size=0, max_size=500))
     @settings(max_examples=25, deadline=None)
-    def test_lref_trit_roundtrip_exact(self, backend, raw):
+    def test_lref_trit_roundtrip_exact(self, raw):
         # L_ref reference labels ride a 4-symbol alphabet.
         symbols = np.array(raw, dtype=np.int64)
-        data = encode_tagged_symbols(symbols, 4, backend)
+        data = encode_tagged_symbols(symbols, 4)
         assert np.array_equal(
             decode_tagged_symbols(data, symbols.size, 4), symbols
         )
 
 
-class TestPipelineBackend:
+class TestSparseStreamMode:
+    def test_retired_rans_mode_rejected(self):
+        # Format v2 packed a rANS int payload behind sparse mode byte 2.
+        values = np.random.default_rng(8).integers(-3, 4, size=2000)
+        with pytest.raises(ValueError, match="mode"):
+            _unpack_stream(bytes([2]) + rans_encode_ints(values), values.size)
+
+
+class TestContainerTag:
     @pytest.fixture(scope="class")
     def cloud(self):
         rng = np.random.default_rng(6)
@@ -199,27 +192,21 @@ class TestPipelineBackend:
             np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
         )
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_container_roundtrip_within_bound(self, cloud, backend):
-        params = DBGCParams(entropy_backend=backend)
-        result = DBGCCompressor(params).compress_detailed(cloud)
+    @pytest.fixture(scope="class")
+    def result(self, cloud):
+        return DBGCCompressor(DBGCParams()).compress_detailed(cloud)
+
+    def test_container_roundtrip_within_bound(self, cloud, result):
         decoded = DBGCDecompressor().decompress(result.payload)
         assert len(decoded) == len(cloud)
         err = np.linalg.norm(decoded.xyz[result.mapping] - cloud.xyz, axis=1)
-        assert err.max() <= params.q_xyz * np.sqrt(3.0) + 1e-12
+        assert err.max() <= DBGCParams().q_xyz * np.sqrt(3.0) + 1e-12
 
-    def test_container_header_records_backend(self, cloud):
-        params = DBGCParams(entropy_backend="rans")
-        payload = DBGCCompressor(params).compress(cloud)
-        header, *_ = unpack_container(payload)
-        assert header.entropy_backend == "rans"
-        assert header.to_params().entropy_backend == "rans"
+    def test_header_writes_tag_zero(self, result):
+        assert result.payload[6] == 0
 
-    def test_cross_backend_decode(self, cloud):
-        # A decompressor never needs to know the encoding backend: every
-        # stream carries its own tag.
-        for backend in BACKEND_NAMES:
-            payload = DBGCCompressor(DBGCParams(entropy_backend=backend)).compress(
-                cloud
-            )
-            assert len(DBGCDecompressor().decompress(payload)) == len(cloud)
+    @pytest.mark.parametrize("tag", OTHER_TAGS)
+    def test_other_tags_rejected(self, result, tag):
+        payload = result.payload
+        with pytest.raises(ValueError, match="tag"):
+            unpack_container(payload[:6] + bytes([tag]) + payload[7:])

@@ -9,10 +9,12 @@ interpreter.  These tests flip bits, truncate, and shuffle real payloads.
 import struct
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from benchmarks.ablation_codecs.rans import rans_encode_ints, rans_encode_symbols
 from repro.baselines import (
     GpccCompressor,
     KdTreeCompressor,
@@ -23,6 +25,8 @@ from repro.core import DBGCCompressor, DBGCDecompressor, DBGCParams
 from repro.datasets import generate_frame
 from repro.entropy import (
     arithmetic_encode,
+    decode_tagged_ints,
+    decode_tagged_symbols,
     deflate_decompress,
     encode_tagged_symbols,
     huffman_compress,
@@ -167,7 +171,7 @@ def _raises_within(decode, data, peak_bytes):
     assert peak < peak_bytes
 
 
-def _full_tree_section(dims, version, depth, backend="rans"):
+def _full_tree_section(dims, version, depth):
     """A one-point tree section whose every level claims all children full."""
     fanout = 1 << dims
     n_occupancy = (fanout**depth - 1) // (fanout - 1)
@@ -181,9 +185,38 @@ def _full_tree_section(dims, version, depth, backend="rans"):
         stream = arithmetic_encode(symbols, alphabet)
     else:
         encode_uvarint(n_occupancy, out)
-        stream = encode_tagged_symbols(symbols, alphabet, backend)
+        stream = encode_tagged_symbols(symbols, alphabet)
     encode_uvarint(len(stream), out)
     return bytes(out) + stream
+
+
+#: Format v2's retired ``rans`` tag; no decoder accepts it any more.
+_RANS_TAG = 1
+_CLAIM = 2 * 10**7
+
+
+def _rans_tagged_ints():
+    """A genuine tag-1 int stream that claims 2x10^7 varint bytes."""
+    values = np.random.default_rng(0).integers(-2000, 2000, size=3000)
+    body = rans_encode_ints(values)
+    count, pos = decode_uvarint(body, 0)
+    _, pos = decode_uvarint(body, pos)
+    out = bytearray([_RANS_TAG])
+    encode_uvarint(count, out)
+    encode_uvarint(_CLAIM, out)
+    return bytes(out) + body[pos:]
+
+
+def _rans_tagged_symbols():
+    """A genuine tag-1 alphabet-256 stream of 12,000 symbols."""
+    symbols = np.random.default_rng(1).integers(0, 256, size=12000)
+    return bytes([_RANS_TAG]) + rans_encode_symbols(symbols, 256)
+
+
+def _golden_v2_rans_header():
+    """The golden v2 frame with its header's entropy tag (byte 6) set to 1."""
+    blob = (Path(__file__).parent / "golden" / "v2_frame.dbgc").read_bytes()
+    return blob[:6] + bytes([_RANS_TAG]) + blob[7:]
 
 
 class TestInflatedClaims:
@@ -194,15 +227,11 @@ class TestInflatedClaims:
         [(OctreeCodec(0.04), 3, 7), (QuadtreeCodec(0.04), 2, 10)],
         ids=["octree", "quadtree"],
     )
-    @pytest.mark.parametrize(
-        "version, backend",
-        [(1, None), (2, "rans"), (2, "adaptive-arith")],
-        ids=["1", "2", "2-adaptive-arith"],
-    )
-    def test_tree_levels_bounded_by_point_count(self, codec, dims, depth, version, backend):
+    @pytest.mark.parametrize("version", [1, 2], ids=["1", "2-adaptive-arith"])
+    def test_tree_levels_bounded_by_point_count(self, codec, dims, depth, version):
         # A v2 section claims one symbol per node of the full tree; the
         # claim is checked against the point count before it is decoded.
-        data = _full_tree_section(dims, version, depth, backend)
+        data = _full_tree_section(dims, version, depth)
         start = time.perf_counter()
         _raises_within(lambda d: codec.decode(d, version=version), data, 16 << 20)
         assert time.perf_counter() - start < 1.0
@@ -243,3 +272,20 @@ class TestInflatedClaims:
         for value in (1, 1, 0, 10**6):
             encode_uvarint(value, header)
         _raises_within(huffman_decompress, bytes(header) + b"\x00", 1 << 20)
+
+    @pytest.mark.parametrize(
+        "decode, make",
+        [
+            (decode_tagged_ints, _rans_tagged_ints),
+            (lambda d: decode_tagged_symbols(d, _CLAIM, 256), _rans_tagged_symbols),
+            (lambda d: DBGCDecompressor().decompress(d), _golden_v2_rans_header),
+        ],
+        ids=["rans-ints", "rans-symbols", "v2-frame-header"],
+    )
+    def test_retired_rans_tag_rejected(self, decode, make):
+        # Tag 1 named format v2's rANS coder, whose decoder sized its output
+        # by the claimed count before reading a byte.
+        data = make()
+        start = time.perf_counter()
+        _raises_within(decode, data, 1 << 20)
+        assert time.perf_counter() - start < 1.0
