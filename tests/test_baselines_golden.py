@@ -1,12 +1,13 @@
-"""Byte pins for the G-PCC and kd-tree baselines.
+"""Byte pins for the G-PCC, kd-tree, Octree and Octree_i baselines.
 
-No committed bench size covers these two coders, so their payloads and
+No committed bench size covers these four coders, so their payloads and
 decoded clouds are pinned here: frame 0 of each fig9 scene at half the
-benchmark sensor resolution, compressed with ``GpccCompressor(0.02)`` and
-``KdTreeCompressor(0.02)``.  ``tests/golden/baselines_expected.json``
+benchmark sensor resolution, compressed with ``GpccCompressor(0.02)``,
+``KdTreeCompressor(0.02)``, ``OctreeCompressor(0.02)`` and
+``OctreeICompressor(0.02)``.  ``tests/golden/baselines_expected.json``
 holds the SHA-256 of every payload and of its decoded ``xyz`` (float64,
-C order), so any change to the entropy coder under them that moves one
-byte or one point fails here.
+C order), so any change to the tree or entropy coders under them that
+moves one byte or one point fails here.
 """
 
 import hashlib
@@ -16,7 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.baselines import GpccCompressor, KdTreeCompressor
+from repro.baselines import (
+    GpccCompressor,
+    KdTreeCompressor,
+    OctreeCompressor,
+    OctreeICompressor,
+)
 from repro.datasets import SensorModel, generate_frame
 
 EXPECTED = json.loads(
@@ -30,7 +36,12 @@ SCENES = [
     "kitti-residential",
     "kitti-road",
 ]
-CODECS = {"gpcc": GpccCompressor, "kdtree": KdTreeCompressor}
+CODECS = {
+    "gpcc": GpccCompressor,
+    "kdtree": KdTreeCompressor,
+    "octree": OctreeCompressor,
+    "octree_i": OctreeICompressor,
+}
 
 
 def _sha256(data: bytes) -> str:
