@@ -39,7 +39,7 @@ from repro.entropy.huffman import huffman_compress
 from repro.entropy.varint import encode_varints
 from repro.eval import render_table
 from repro.geometry.spherical import cartesian_to_spherical, spherical_error_bounds
-from repro.octree.codec import OctreeCodec, build_octree_structure
+from repro.octree import build_octree_structure, quantize
 
 BACKENDS = {
     "arithmetic": encode_int_sequence,
@@ -139,8 +139,7 @@ def test_rans_vs_adaptive_hot_streams(benchmark):
     adaptive coder's size.
     """
     cloud = frame("kitti-city")
-    codec = OctreeCodec(DBGCParams().q_xyz)
-    codes, _, depth = codec._quantize(cloud.xyz)
+    codes, _, depth = quantize(cloud.xyz, DBGCParams().q_xyz)
     occupancy = build_octree_structure(codes, depth).occupancy_stream().astype(
         np.int64
     )

@@ -30,9 +30,8 @@ from repro.entropy.arithmetic import (
 from repro.entropy.backend import decode_tagged_ints, encode_tagged_ints
 from repro.entropy.bitio import BitReader, BitWriter
 from repro.entropy.varint import decode_uvarint, encode_uvarint
-from repro.geometry.bbox import BoundingCube
 from repro.geometry.points import PointCloud
-from repro.octree.morton import MAX_DEPTH_3D, deinterleave3, interleave3
+from repro.octree.octree import check_point_count, leaf_points, quantize
 
 __all__ = ["GpccCompressor"]
 
@@ -65,24 +64,15 @@ class GpccCompressor(GeometryCompressor):
         # Context = min(remaining levels, 8).
         return [AdaptiveModel(2) for _ in range(9)]
 
-    def _codes(self, xyz: np.ndarray) -> tuple[np.ndarray, BoundingCube, int]:
-        cube, depth = BoundingCube.for_leaf_size(xyz, self.leaf_side)
-        if depth > MAX_DEPTH_3D:
-            raise ValueError("octree depth exceeds Morton key capacity")
-        origin = np.asarray(cube.origin)
-        cells = np.floor((xyz - origin) / self.leaf_side).astype(np.int64)
-        np.clip(cells, 0, (1 << depth) - 1, out=cells)
-        return interleave3(cells[:, 0], cells[:, 1], cells[:, 2]), cube, depth
-
     def compress(self, cloud: PointCloud) -> bytes:
         xyz = cloud.xyz
         out = bytearray()
         encode_uvarint(len(xyz), out)
         if len(xyz) == 0:
             return bytes(out)
-        codes, cube, depth = self._codes(xyz)
+        codes, origin, depth = quantize(xyz, self.leaf_side)
         codes = np.sort(codes)
-        out += _HEADER.pack(*cube.origin, self.leaf_side)
+        out += _HEADER.pack(*origin, self.leaf_side)
         encode_uvarint(depth, out)
 
         occ_models = self._occupancy_models()
@@ -135,7 +125,8 @@ class GpccCompressor(GeometryCompressor):
         n_points, pos = decode_uvarint(data, 0)
         if n_points == 0:
             return PointCloud.empty()
-        ox, oy, oz, leaf_side = _HEADER.unpack_from(data, pos)
+        check_point_count(n_points)
+        *origin, leaf_side = _HEADER.unpack_from(data, pos)
         pos += _HEADER.size
         depth, pos = decode_uvarint(data, pos)
         payload_len, pos = decode_uvarint(data, pos)
@@ -178,15 +169,9 @@ class GpccCompressor(GeometryCompressor):
         counts = np.ones(len(leaves), dtype=np.int64)
         counts[tree_leaf_slots] = tree_counts
         leaf_codes = np.asarray(leaves, dtype=np.int64)
-        ix, iy, iz = deinterleave3(leaf_codes)
-        centers = np.column_stack(
-            [
-                ox + (ix + 0.5) * leaf_side,
-                oy + (iy + 0.5) * leaf_side,
-                oz + (iz + 0.5) * leaf_side,
-            ]
+        return PointCloud(
+            leaf_points(leaf_codes, counts, n_points, np.array(origin), leaf_side)
         )
-        return PointCloud(np.repeat(centers, counts, axis=0))
 
     def mapping(self, cloud: PointCloud) -> np.ndarray:
         """Original-index -> decoded-index permutation.
@@ -199,7 +184,7 @@ class GpccCompressor(GeometryCompressor):
         xyz = cloud.xyz
         if len(xyz) == 0:
             return np.empty(0, dtype=np.int64)
-        codes, _, depth = self._codes(xyz)
+        codes, _, depth = quantize(xyz, self.leaf_side)
         sorted_to_original = np.argsort(codes, kind="stable")
         sorted_codes = codes[sorted_to_original]
         emitted: list[tuple[int, int]] = []

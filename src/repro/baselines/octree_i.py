@@ -28,11 +28,15 @@ from repro.entropy.backend import (
     encode_tagged_symbols,
 )
 from repro.entropy.varint import decode_uvarint, encode_uvarint
-from repro.geometry.bbox import BoundingCube
 from repro.geometry.points import PointCloud
 from repro.octree.codec import OctreeCodec
-from repro.octree.morton import MAX_DEPTH_3D, deinterleave3, interleave3
-from repro.octree.octree import build_octree_structure, expand_occupancy_level
+from repro.octree.octree import (
+    build_octree_structure,
+    check_point_count,
+    expand_occupancy_level,
+    leaf_points,
+    quantize,
+)
 
 __all__ = ["OctreeICompressor"]
 
@@ -64,15 +68,9 @@ class OctreeICompressor(GeometryCompressor):
         encode_uvarint(len(xyz), out)
         if len(xyz) == 0:
             return bytes(out)
-        cube, depth = BoundingCube.for_leaf_size(xyz, self.leaf_side)
-        if depth > MAX_DEPTH_3D:
-            raise ValueError("octree depth exceeds Morton key capacity")
-        origin = np.asarray(cube.origin)
-        cells = np.floor((xyz - origin) / self.leaf_side).astype(np.int64)
-        np.clip(cells, 0, (1 << depth) - 1, out=cells)
-        codes = interleave3(cells[:, 0], cells[:, 1], cells[:, 2])
+        codes, origin, depth = quantize(xyz, self.leaf_side)
         structure = build_octree_structure(codes, depth)
-        out += _HEADER.pack(*cube.origin, self.leaf_side)
+        out += _HEADER.pack(*origin, self.leaf_side)
         encode_uvarint(depth, out)
 
         # Gather each node's occupancy byte into the group of its parent's
@@ -100,7 +98,8 @@ class OctreeICompressor(GeometryCompressor):
         n_points, pos = decode_uvarint(data, 0)
         if n_points == 0:
             return PointCloud.empty()
-        ox, oy, oz, leaf_side = _HEADER.unpack_from(data, pos)
+        check_point_count(n_points)
+        *origin, leaf_side = _HEADER.unpack_from(data, pos)
         pos += _HEADER.size
         depth, pos = decode_uvarint(data, pos)
         n_groups, pos = decode_uvarint(data, pos)
@@ -130,20 +129,10 @@ class OctreeICompressor(GeometryCompressor):
                     raise ValueError("occupancy group stream exhausted")
                 occupancy[idx] = chunk
                 cursors[ctx] = cur + idx.size
-            nodes = expand_occupancy_level(nodes, occupancy)
+            nodes = expand_occupancy_level(nodes, occupancy, n_points)
             parent_contexts = _child_contexts(occupancy)
         counts = decode_tagged_ints(data[pos:]) + 1
-        if counts.size != nodes.size:
-            raise ValueError("leaf counts do not match tree")
-        ix, iy, iz = deinterleave3(nodes)
-        centers = np.column_stack(
-            [
-                ox + (ix + 0.5) * leaf_side,
-                oy + (iy + 0.5) * leaf_side,
-                oz + (iz + 0.5) * leaf_side,
-            ]
-        )
-        return PointCloud(np.repeat(centers, counts, axis=0))
+        return PointCloud(leaf_points(nodes, counts, n_points, np.array(origin), leaf_side))
 
     def mapping(self, cloud: PointCloud) -> np.ndarray:
         return self._plain.mapping(cloud.xyz)

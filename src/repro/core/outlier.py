@@ -16,7 +16,6 @@ from repro.entropy.arithmetic import decode_int_sequence
 from repro.entropy.backend import decode_tagged_ints, encode_tagged_ints
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.octree.codec import OctreeCodec
-from repro.octree.quadtree import QuadtreeCodec
 
 __all__ = ["encode_outliers", "decode_outliers"]
 
@@ -35,7 +34,7 @@ def encode_outliers(
     if n == 0:
         return bytes(out), np.empty(0, dtype=np.int64)
     if params.outlier_mode == "quadtree":
-        codec = QuadtreeCodec(params.leaf_side)
+        codec = OctreeCodec(params.leaf_side, dims=2)
         xy = xyz[:, :2]
         tree_payload = codec.encode(xy)
         mapping = codec.mapping(xy)
@@ -59,7 +58,8 @@ def decode_outliers(payload: bytes, params: DBGCParams, version: int = 2) -> np.
     """Inverse of :func:`encode_outliers`; points in codec order.
 
     ``version=1`` selects the legacy sub-codec layouts (checksum-less z
-    stream, raw arithmetic quadtree occupancy).
+    stream, raw arithmetic quadtree occupancy).  The tree must decode to
+    the section's own point count ``n``.
     """
     if not payload:
         raise ValueError("empty outlier payload")
@@ -71,8 +71,10 @@ def decode_outliers(payload: bytes, params: DBGCParams, version: int = 2) -> np.
         return np.empty((0, 3), dtype=np.float64)
     if mode == "quadtree":
         tree_size, pos = decode_uvarint(payload, pos)
-        codec = QuadtreeCodec(params.leaf_side)
+        codec = OctreeCodec(params.leaf_side, dims=2)
         xy = codec.decode(payload[pos : pos + tree_size], version=version)
+        if len(xy) != n:
+            raise ValueError("outlier count does not match its quadtree")
         pos += tree_size
         if version == 1:
             z_ints = np.cumsum(decode_int_sequence(payload[pos:], checksum=False))
@@ -82,7 +84,10 @@ def decode_outliers(payload: bytes, params: DBGCParams, version: int = 2) -> np.
             raise ValueError("outlier z stream does not match quadtree")
         return np.column_stack([xy, z_ints.astype(np.float64) * params.leaf_side])
     if mode == "octree":
-        return OctreeCodec(params.leaf_side).decode(payload[pos:], version=version)
+        xyz = OctreeCodec(params.leaf_side).decode(payload[pos:], version=version)
+        if len(xyz) != n:
+            raise ValueError("outlier count does not match its octree")
+        return xyz
     return (
         np.frombuffer(payload, dtype="<f4", count=3 * n, offset=pos)
         .reshape(n, 3)

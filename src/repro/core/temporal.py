@@ -54,8 +54,17 @@ from repro.entropy.arithmetic import (
 from repro.entropy.backend import decode_tagged_ints, encode_tagged_ints
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry.points import PointCloud
-from repro.octree.morton import MAX_DEPTH_3D, deinterleave3, interleave3
-from repro.octree.octree import build_octree_structure, expand_occupancy_level
+from repro.octree.morton import MAX_DEPTH_3D, interleave
+from repro.octree.octree import (
+    OctreeStructure,
+    build_octree_structure,
+    check_point_count,
+    expand_occupancy_level,
+    grid_cells,
+    grid_codes,
+    leaf_points,
+    stable_mapping,
+)
 
 __all__ = [
     "KEYFRAME_MAX_VERSION",
@@ -177,20 +186,6 @@ def _clone_models(models: tuple[list[int], list[int]]) -> tuple[list[int], list[
 # -- dense (octree occupancy) delta coding ----------------------------------------
 
 
-def _level_maps(codes: np.ndarray, depth: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-level ``(sorted node codes, occupancy bytes)`` of a predictor set."""
-    maps = []
-    child = np.unique(codes)
-    for _ in range(depth):
-        parents, inverse = np.unique(child >> 3, return_inverse=True)
-        occ = np.zeros(len(parents), dtype=np.int64)
-        np.bitwise_or.at(occ, inverse, np.int64(1) << (child & 7))
-        maps.append((parents, occ))
-        child = parents
-    maps.reverse()
-    return maps
-
-
 def _predict_level(
     nodes: np.ndarray, level_map: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
@@ -206,10 +201,9 @@ def _grid_codes(
     points: np.ndarray, origin: np.ndarray, leaf_side: float, depth: int
 ) -> np.ndarray:
     """Morton codes of the predictor points that land inside the grid."""
-    cells = np.floor((points - origin) / leaf_side).astype(np.int64)
+    cells = grid_cells(points, origin, leaf_side)
     inside = np.all((cells >= 0) & (cells < (1 << depth)), axis=1)
-    cells = cells[inside]
-    return interleave3(cells[:, 0], cells[:, 1], cells[:, 2])
+    return interleave(cells[inside])
 
 
 def _predictor_points(
@@ -234,10 +228,12 @@ def _pred_maps(
     depth: int,
     ego_delta,
 ) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    return [
-        _level_maps(_grid_codes(points, origin, leaf_side, depth), depth)
-        for points in _predictor_points(prev_cloud, leaf_side, ego_delta)
-    ]
+    """Per-level ``(sorted node codes, occupancy bytes)`` of each predictor set."""
+    maps = []
+    for points in _predictor_points(prev_cloud, leaf_side, ego_delta):
+        tree = build_octree_structure(_grid_codes(points, origin, leaf_side, depth), depth)
+        maps.append(list(zip(tree.node_codes, tree.occupancy)))
+    return maps
 
 
 def _level_contexts(
@@ -259,13 +255,13 @@ def _level_contexts(
 
 
 def _code_occupancy(
-    occ: np.ndarray,
+    tree: OctreeStructure,
     pred_maps: list[list[tuple[np.ndarray, np.ndarray]]],
-    depth: int,
     models: tuple[list[int], list[int]],
 ) -> bytes:
-    """Context-code the occupancy stream; mutates ``models`` (pass a clone
-    for a trial encode and commit it only if delta mode is chosen).
+    """Context-code the tree's occupancy, level by level; mutates
+    ``models`` (pass a clone for a trial encode and commit it only if delta
+    mode is chosen).
 
     The arithmetic coder of :func:`repro.entropy.arithmetic.arithmetic_encode`
     over binary models, fused into one loop per level.
@@ -274,11 +270,7 @@ def _code_occupancy(
     out = bytearray()
     acc = n_acc = 0
     low, high, pending = 0, _MASK, 0
-    nodes = np.zeros(1, dtype=np.int64)
-    offset = 0
-    for level in range(depth):
-        n = len(nodes)
-        level_occ = occ[offset : offset + n]
+    for level, (nodes, level_occ) in enumerate(zip(tree.node_codes, tree.occupancy)):
         pe, pd, pm = (_predict_level(nodes, maps[level]) for maps in pred_maps)
         ids = _level_contexts(level, pe, pd, pm)
         # The decoded-bits term is known up front: the popcount of the
@@ -322,8 +314,6 @@ def _code_occupancy(
                 out += (acc >> rest).to_bytes(n_acc >> 3, "big")
                 acc &= (1 << rest) - 1
                 n_acc = rest
-        nodes = expand_occupancy_level(nodes, level_occ.astype(np.uint8))
-        offset += n
     return _emit_final(out, acc, n_acc, low, pending)
 
 
@@ -398,27 +388,12 @@ def _decode_occupancy(
                     n_buf += 32
                 n_buf -= shift
                 value = (value << shift) | ((buf >> n_buf) & ((1 << shift) - 1))
-        nodes = expand_occupancy_level(nodes, np.frombuffer(level_occ, dtype=np.uint8))
-        if len(nodes) > max_nodes:
-            raise ValueError("dense delta tree has more nodes than points")
+        nodes = expand_occupancy_level(
+            nodes, np.frombuffer(level_occ, dtype=np.uint8), max_nodes
+        )
     if 32 * next_word - n_buf > limit:
         raise _overread()
     return nodes
-
-
-def _leaf_points(
-    leaf_codes: np.ndarray, counts: np.ndarray, origin: np.ndarray, leaf_side: float
-) -> np.ndarray:
-    """Leaf-center reconstruction (shared so both sides agree bitwise)."""
-    ix, iy, iz = deinterleave3(leaf_codes)
-    centers = np.column_stack(
-        [
-            origin[0] + (ix + 0.5) * leaf_side,
-            origin[1] + (iy + 0.5) * leaf_side,
-            origin[2] + (iz + 0.5) * leaf_side,
-        ]
-    )
-    return np.repeat(centers, counts, axis=0)
 
 
 def dense_payload_origin(dense_payload: bytes) -> np.ndarray | None:
@@ -459,29 +434,23 @@ def _encode_dense_delta(
     depth = max(1, int(np.ceil(np.log2(extent / leaf))))
     if depth > MAX_DEPTH_3D:
         return None
-    cells = np.floor((xyz - origin) / leaf).astype(np.int64)
-    np.clip(cells, 0, (1 << depth) - 1, out=cells)
-    codes = interleave3(cells[:, 0], cells[:, 1], cells[:, 2])
-    structure = build_octree_structure(codes, depth)
-    occ = structure.occupancy_stream().astype(np.int64)
+    codes = grid_codes(xyz, origin, leaf, depth)
+    tree = build_octree_structure(codes, depth)
     maps = _pred_maps(context.prev_cloud, origin, leaf, depth, ego_delta)
     models = _clone_models(context.occ_models)
-    occ_payload = _code_occupancy(occ, maps, depth, models)
+    occ_payload = _code_occupancy(tree, maps, models)
     out = bytearray()
     encode_uvarint(len(xyz), out)
     out += _DENSE_HEADER.pack(origin[0], origin[1], origin[2], leaf)
     encode_uvarint(depth, out)
     encode_uvarint(len(occ_payload), out)
     out += occ_payload
-    out += encode_tagged_ints(structure.leaf_counts - 1)
+    out += encode_tagged_ints(tree.leaf_counts - 1)
     if len(out) >= intra_size:
         return None
     context.occ_models = models
-    order = np.argsort(codes, kind="stable")
-    mapping = np.empty(len(codes), dtype=np.int64)
-    mapping[order] = np.arange(len(codes))
-    points = _leaf_points(structure.leaf_codes, structure.leaf_counts, origin, leaf)
-    return bytes(out), mapping, points, origin
+    points = leaf_points(tree.leaf_codes, tree.leaf_counts, len(xyz), origin, leaf)
+    return bytes(out), stable_mapping(codes), points, origin
 
 
 def _decode_dense_delta(
@@ -496,6 +465,7 @@ def _decode_dense_delta(
     n_points, pos = decode_uvarint(data, 0)
     if n_points == 0:
         return np.empty((0, 3), dtype=np.float64), None, None
+    check_point_count(n_points)
     if context.prev_cloud is None:
         raise ValueError("delta frame without predictor state")
     ox, oy, oz, leaf = _DENSE_HEADER.unpack_from(data, pos)
@@ -511,11 +481,7 @@ def _decode_dense_delta(
     models = _clone_models(context.occ_models)
     leaf_codes = _decode_occupancy(occ_payload, maps, depth, models, n_points)
     counts = decode_tagged_ints(data[pos:]) + 1
-    if counts.size != leaf_codes.size:
-        raise ValueError("leaf count stream does not match occupancy tree")
-    if counts.sum() != n_points:
-        raise ValueError("leaf counts do not add up to the point count")
-    return _leaf_points(leaf_codes, counts, origin, leaf), origin, models
+    return leaf_points(leaf_codes, counts, n_points, origin, leaf), origin, models
 
 
 class TemporalDecoder:

@@ -1,27 +1,23 @@
-"""Spatial substrate: point clouds, bounding volumes, coordinates, grids.
+"""Spatial substrate: point clouds, coordinates, grids.
 
 This subpackage provides the geometric primitives that every other part of
 the system builds on:
 
 - :class:`~repro.geometry.points.PointCloud` — an immutable wrapper around an
   ``(n, 3)`` float array of Cartesian coordinates.
-- :class:`~repro.geometry.bbox.BoundingBox` and
-  :class:`~repro.geometry.bbox.BoundingCube` — axis-aligned bounds used by the
-  octree and quadtree coders.
+- :func:`~repro.geometry.bbox.pow2_cover` — the power-of-two grid sizing
+  rule of the octree and quadtree quantizer (:mod:`repro.octree.octree`).
 - :mod:`~repro.geometry.spherical` — Cartesian <-> spherical conversion with
   the paper's (theta, phi, r) convention.
 - :class:`~repro.geometry.grid.HashGrid` — a uniform hash grid for
   fixed-radius neighbor queries, used by the density-based clustering.
 """
 
-from repro.geometry.bbox import BoundingBox, BoundingCube
 from repro.geometry.grid import HashGrid
 from repro.geometry.points import PointCloud
 from repro.geometry.spherical import cartesian_to_spherical, spherical_to_cartesian
 
 __all__ = [
-    "BoundingBox",
-    "BoundingCube",
     "HashGrid",
     "PointCloud",
     "cartesian_to_spherical",

@@ -1,23 +1,19 @@
-"""Axis-aligned bounding volumes used by the tree-based coders."""
+"""The grid sizing rule of the tree coders."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-__all__ = ["BoundingBox", "BoundingCube", "pow2_cover"]
+__all__ = ["pow2_cover"]
 
 
 def pow2_cover(extent: float, leaf_side: float) -> tuple[float, int]:
     """Smallest ``(side, depth)`` with ``side == leaf_side * 2**depth >= extent``.
 
-    The sizing rule shared by the octree root cube and the outlier
-    quadtree: grow the leaf side by doubling until it covers ``extent``,
-    so recursive halving of the result lands exactly back on the leaf
-    size.  The tiny epsilon keeps points exactly on the max boundary
-    inside the half-open cell decomposition.  ``leaf_side`` must be
-    positive (both callers validate it).
+    The sizing rule of the tree quantizer (:func:`repro.octree.octree.quantize`)
+    for the octree root cube and the outlier quadtree alike: grow the leaf
+    side by doubling until it covers ``extent``, so recursive halving of the
+    result lands exactly back on the leaf size.  The tiny epsilon keeps
+    points exactly on the max boundary inside the half-open cell
+    decomposition.  ``leaf_side`` must be positive (the quantizer checks it).
     """
     depth = 0
     side = leaf_side
@@ -25,111 +21,3 @@ def pow2_cover(extent: float, leaf_side: float) -> tuple[float, int]:
         side *= 2.0
         depth += 1
     return side, depth
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned bounding box with independent extents per dimension."""
-
-    lo: tuple[float, float, float]
-    hi: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if any(h < l for l, h in zip(self.lo, self.hi)):
-            raise ValueError(f"invalid bounds: lo={self.lo}, hi={self.hi}")
-
-    @classmethod
-    def of_points(cls, xyz: np.ndarray) -> "BoundingBox":
-        """Tight bounding box of an ``(n, 3)`` coordinate array."""
-        xyz = np.asarray(xyz, dtype=np.float64)
-        if xyz.shape[0] == 0:
-            return cls((0.0, 0.0, 0.0), (0.0, 0.0, 0.0))
-        return cls(tuple(xyz.min(axis=0)), tuple(xyz.max(axis=0)))
-
-    @property
-    def extents(self) -> tuple[float, float, float]:
-        return tuple(h - l for l, h in zip(self.lo, self.hi))
-
-    @property
-    def center(self) -> tuple[float, float, float]:
-        return tuple((l + h) / 2.0 for l, h in zip(self.lo, self.hi))
-
-    def volume(self) -> float:
-        ex, ey, ez = self.extents
-        return ex * ey * ez
-
-    def contains(self, xyz: np.ndarray) -> np.ndarray:
-        """Boolean mask of points inside (inclusive) this box."""
-        xyz = np.asarray(xyz, dtype=np.float64)
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((xyz >= lo) & (xyz <= hi), axis=1)
-
-
-@dataclass(frozen=True)
-class BoundingCube:
-    """Axis-aligned cube; the root cell of an octree.
-
-    The paper's octree lets the leaf side length be exactly ``2 * q_xyz``.
-    :meth:`for_leaf_size` grows a tight bounding box into the smallest cube
-    whose side is ``leaf_side * 2**depth`` for an integral ``depth``, so that
-    recursive halving lands exactly on the requested leaf size.
-    """
-
-    origin: tuple[float, float, float]
-    side: float
-
-    def __post_init__(self) -> None:
-        if self.side < 0:
-            raise ValueError(f"cube side must be non-negative, got {self.side}")
-
-    @classmethod
-    def of_points(cls, xyz: np.ndarray, pad: float = 0.0) -> "BoundingCube":
-        """Smallest cube containing the points, optionally padded."""
-        box = BoundingBox.of_points(xyz)
-        side = max(box.extents) + 2.0 * pad
-        origin = tuple(l - pad for l in box.lo)
-        return cls(origin, side)
-
-    @classmethod
-    def for_leaf_size(cls, xyz: np.ndarray, leaf_side: float) -> tuple["BoundingCube", int]:
-        """Cube + depth such that ``side == leaf_side * 2**depth`` covers points.
-
-        Returns the cube and the octree depth (number of subdivision levels)
-        at which leaf cells have side exactly ``leaf_side``.
-        """
-        if leaf_side <= 0:
-            raise ValueError(f"leaf_side must be positive, got {leaf_side}")
-        box = BoundingBox.of_points(np.asarray(xyz, dtype=np.float64))
-        side, depth = pow2_cover(max(box.extents), leaf_side)
-        return cls(box.lo, side), depth
-
-    @property
-    def hi(self) -> tuple[float, float, float]:
-        return tuple(o + self.side for o in self.origin)
-
-    @property
-    def center(self) -> tuple[float, float, float]:
-        return tuple(o + self.side / 2.0 for o in self.origin)
-
-    def as_box(self) -> BoundingBox:
-        return BoundingBox(self.origin, self.hi)
-
-    def child(self, index: int) -> "BoundingCube":
-        """Return one of the eight child octants (Morton-style indexing).
-
-        Bit 0 of ``index`` selects the x half, bit 1 the y half and bit 2 the
-        z half; bit set means the upper half.
-        """
-        if not 0 <= index < 8:
-            raise ValueError(f"octant index must be in [0, 8), got {index}")
-        half = self.side / 2.0
-        ox, oy, oz = self.origin
-        return BoundingCube(
-            (
-                ox + (half if index & 1 else 0.0),
-                oy + (half if index & 2 else 0.0),
-                oz + (half if index & 4 else 0.0),
-            ),
-            half,
-        )

@@ -1,9 +1,9 @@
 """Morton (Z-order) bit interleaving for octree and quadtree cell keys.
 
-Child-octant numbering follows :meth:`repro.geometry.bbox.BoundingCube.child`:
-bit 0 selects the x half, bit 1 the y half, bit 2 the z half.  A Morton code
-built this way makes "parent of node" a 3-bit shift and keeps sibling order
-equal to child-index order, which the breadth-first codecs rely on.
+Child numbering: bit 0 of a child index selects the upper x half, bit 1
+the upper y half and, in 3D, bit 2 the upper z half.  A Morton code built
+this way makes "parent of node" a ``dims``-bit shift and keeps sibling
+order equal to child-index order, which the breadth-first codecs rely on.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ __all__ = [
     "deinterleave3",
     "interleave2",
     "deinterleave2",
+    "interleave",
+    "deinterleave",
 ]
 
 # int64 Morton keys: 3 bits/level in 3D, 2 bits/level in 2D.
@@ -107,3 +109,17 @@ def deinterleave2(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`interleave2`."""
     c = np.asarray(codes, dtype=np.int64).astype(np.uint64)
     return _compact2(c).astype(np.int64), _compact2(c >> np.uint64(1)).astype(np.int64)
+
+
+def interleave(cells: np.ndarray) -> np.ndarray:
+    """Morton keys of an ``(n, dims)`` integer cell array, ``dims`` 2 or 3."""
+    if cells.shape[1] == 3:
+        return interleave3(cells[:, 0], cells[:, 1], cells[:, 2])
+    return interleave2(cells[:, 0], cells[:, 1])
+
+
+def deinterleave(codes: np.ndarray, dims: int) -> np.ndarray:
+    """Inverse of :func:`interleave`: the ``(n, dims)`` cell array."""
+    if dims == 3:
+        return np.column_stack(deinterleave3(codes))
+    return np.column_stack(deinterleave2(codes))

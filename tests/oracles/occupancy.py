@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.temporal import _OCC_INCREMENT, _predict_level
-from repro.octree.octree import expand_occupancy_level
+from repro.octree.octree import OctreeStructure, expand_occupancy_level
 from tests.oracles.arithmetic import (
     AdaptiveModel,
     ArithmeticDecoder,
@@ -50,19 +50,15 @@ def _bit_context(level: int, e: int, d: int, m: int, b: int, decoded: int, dpop:
 
 
 def _code_occupancy(
-    occ: np.ndarray,
+    tree: OctreeStructure,
     pred_maps: list[list[tuple[np.ndarray, np.ndarray]]],
-    depth: int,
     models: dict[tuple, AdaptiveModel],
 ) -> bytes:
-    """Context-code the occupancy stream; mutates ``models`` (pass a clone
-    for a trial encode and commit it only if delta mode is chosen)."""
+    """Context-code the tree's occupancy, level by level; mutates
+    ``models`` (pass a clone for a trial encode and commit it only if delta
+    mode is chosen)."""
     encoder = ArithmeticEncoder()
-    nodes = np.zeros(1, dtype=np.int64)
-    offset = 0
-    for level in range(depth):
-        n = len(nodes)
-        level_occ = occ[offset : offset + n]
+    for level, (nodes, level_occ) in enumerate(zip(tree.node_codes, tree.occupancy)):
         preds = [_predict_level(nodes, maps[level]) for maps in pred_maps]
         level_bounded = min(level, 6)
         pe, pd, pm = (p.tolist() for p in preds)
@@ -81,8 +77,6 @@ def _code_occupancy(
                 encoder.encode(cum_low, cum_high, model.total)
                 model.update(bit)
                 decoded |= bit << b
-        nodes = expand_occupancy_level(nodes, level_occ.astype(np.uint8))
-        offset += n
     return encoder.finish()
 
 
@@ -120,7 +114,5 @@ def _decode_occupancy(
                 bit = decoder.decode_symbol(model)
                 decoded |= bit << b
             level_occ[i] = decoded
-        nodes = expand_occupancy_level(nodes, level_occ)
-        if len(nodes) > max_nodes:
-            raise ValueError("dense delta tree has more nodes than points")
+        nodes = expand_occupancy_level(nodes, level_occ, max_nodes)
     return nodes

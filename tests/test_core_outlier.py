@@ -6,6 +6,7 @@ import pytest
 from repro.core import DBGCParams, split_into_groups
 from repro.core.container import pack_container, unpack_container
 from repro.core.outlier import decode_outliers, encode_outliers
+from repro.entropy.varint import decode_uvarint, encode_uvarint
 
 
 def _outlier_cloud(n=200, seed=0):
@@ -54,6 +55,19 @@ class TestOutlierCodec:
         xyz = _outlier_cloud(100)
         _, mapping = encode_outliers(xyz, DBGCParams())
         assert sorted(mapping.tolist()) == list(range(100))
+
+    @pytest.mark.parametrize("mode", ["quadtree", "octree"])
+    def test_section_count_must_match_tree(self, mode):
+        # The section's own point count n, raised from 50 to 57, no longer
+        # matches the 50 points its tree decodes to.
+        params = DBGCParams(outlier_mode=mode)
+        payload, _ = encode_outliers(_outlier_cloud(50), params)
+        n, pos = decode_uvarint(payload, 1)
+        assert n == 50
+        inflated = bytearray(payload[:1])
+        encode_uvarint(57, inflated)
+        with pytest.raises(ValueError, match="outlier count"):
+            decode_outliers(bytes(inflated) + payload[pos:], params)
 
     def test_unknown_mode_byte_rejected(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ from repro.core.params import DBGCParams
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry import PointCloud
 from repro.octree.codec import OctreeCodec
-from repro.octree.quadtree import QuadtreeCodec
 
 GOLDEN_V1 = Path(__file__).parent / "golden" / "v1_frame.dbgc"
 STOPPED = "past its end|more nodes than points"
@@ -98,7 +97,7 @@ def v1_sections():
     quadtree_pos = _skip_uvarints(tree, _skip_uvarints(tree, 0, 1) + 24, 1)
     return {
         "octree": (OctreeCodec(leaf_side), dense, octree_pos),
-        "quadtree": (QuadtreeCodec(leaf_side), tree, quadtree_pos),
+        "quadtree": (OctreeCodec(leaf_side, dims=2), tree, quadtree_pos),
     }
 
 

@@ -226,10 +226,9 @@ def _chain(rng, depth: int, sizes: list[int], spread: float):
         prev = rng.uniform(0, spread * (1 << depth), size=(max(n_points, 1), 3))
         ego = rng.normal(0.0, 0.5, size=3)
         maps = _pred_maps(prev, origin, leaf, depth, ego)
-        occ = structure.occupancy_stream().astype(np.int64)
         before = (list(fused[0]), list(fused[1]))
-        payload = _code_occupancy(occ, maps, depth, fused)
-        assert payload == occ_oracle._code_occupancy(occ, maps, depth, tuples)
+        payload = _code_occupancy(structure, maps, fused)
+        assert payload == occ_oracle._code_occupancy(structure, maps, tuples)
         assert fused == _as_lists(tuples)
         # The decoder, from the same starting models, rebuilds the tree
         # and ends with the encoder's models.
@@ -271,8 +270,7 @@ class TestOccupancyLoops:
         rng = np.random.default_rng(2)
         structure = _tree(rng, 200, 6)
         maps = _pred_maps(rng.uniform(0, 64, size=(200, 3)), np.zeros(3), 1.0, 6, (0, 0, 0))
-        occ = structure.occupancy_stream().astype(np.int64)
-        payload = _code_occupancy(occ, maps, 6, _fresh_models())
+        payload = _code_occupancy(structure, maps, _fresh_models())
         # Any cut that changes the tree either decodes another tree or
         # stops at the read bound; it never reads on indefinitely.
         for cut in range(len(payload)):

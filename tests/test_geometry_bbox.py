@@ -1,95 +1,14 @@
 """Unit tests for repro.geometry.bbox."""
 
 import numpy as np
-import pytest
 
-from repro.geometry import BoundingBox, BoundingCube
-
-
-class TestBoundingBox:
-    def test_of_points(self):
-        box = BoundingBox.of_points(np.array([[0.0, -1.0, 2.0], [3.0, 1.0, 0.0]]))
-        assert box.lo == (0.0, -1.0, 0.0)
-        assert box.hi == (3.0, 1.0, 2.0)
-
-    def test_of_empty(self):
-        box = BoundingBox.of_points(np.empty((0, 3)))
-        assert box.volume() == 0.0
-
-    def test_invalid_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox((1.0, 0.0, 0.0), (0.0, 1.0, 1.0))
-
-    def test_extents_center_volume(self):
-        box = BoundingBox((0.0, 0.0, 0.0), (2.0, 4.0, 6.0))
-        assert box.extents == (2.0, 4.0, 6.0)
-        assert box.center == (1.0, 2.0, 3.0)
-        assert box.volume() == 48.0
-
-    def test_contains(self):
-        box = BoundingBox((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
-        pts = np.array([[0.5, 0.5, 0.5], [1.0, 1.0, 1.0], [1.1, 0.5, 0.5]])
-        assert list(box.contains(pts)) == [True, True, False]
-
-
-class TestBoundingCube:
-    def test_child_octants_tile_parent(self):
-        cube = BoundingCube((0.0, 0.0, 0.0), 2.0)
-        children = [cube.child(i) for i in range(8)]
-        assert all(c.side == 1.0 for c in children)
-        origins = {c.origin for c in children}
-        assert len(origins) == 8
-        # Octant index bit 0 -> x, bit 1 -> y, bit 2 -> z.
-        assert cube.child(1).origin == (1.0, 0.0, 0.0)
-        assert cube.child(2).origin == (0.0, 1.0, 0.0)
-        assert cube.child(4).origin == (0.0, 0.0, 1.0)
-        assert cube.child(7).origin == (1.0, 1.0, 1.0)
-
-    def test_child_index_bounds(self):
-        cube = BoundingCube((0.0, 0.0, 0.0), 1.0)
-        with pytest.raises(ValueError):
-            cube.child(8)
-        with pytest.raises(ValueError):
-            cube.child(-1)
-
-    def test_negative_side_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingCube((0.0, 0.0, 0.0), -1.0)
-
-    def test_of_points_is_cube_and_contains_all(self):
-        rng = np.random.default_rng(3)
-        pts = rng.uniform(-5, 5, size=(100, 3))
-        cube = BoundingCube.of_points(pts)
-        assert np.all(cube.as_box().contains(pts))
-
-    def test_for_leaf_size_side_is_power_of_two_multiple(self):
-        pts = np.array([[0.0, 0.0, 0.0], [10.0, 3.0, 1.0]])
-        cube, depth = BoundingCube.for_leaf_size(pts, leaf_side=0.04)
-        assert cube.side == pytest.approx(0.04 * 2**depth)
-        assert cube.side >= 10.0
-        assert np.all(cube.as_box().contains(pts))
-
-    def test_for_leaf_size_single_point(self):
-        cube, depth = BoundingCube.for_leaf_size(np.array([[1.0, 1.0, 1.0]]), 0.04)
-        assert depth == 0
-        assert cube.side == pytest.approx(0.04)
-
-    def test_for_leaf_size_rejects_bad_leaf(self):
-        with pytest.raises(ValueError):
-            BoundingCube.for_leaf_size(np.zeros((1, 3)), 0.0)
-
-    def test_hi_and_center(self):
-        cube = BoundingCube((1.0, 2.0, 3.0), 2.0)
-        assert cube.hi == (3.0, 4.0, 5.0)
-        assert cube.center == (2.0, 3.0, 4.0)
+from repro.geometry.bbox import pow2_cover
 
 
 class TestPow2Cover:
-    """The sizing rule shared by the octree cube and the outlier quadtree."""
+    """The sizing rule of the octree cube and the outlier quadtree."""
 
     def test_exact_power_of_two_multiples(self):
-        from repro.geometry.bbox import pow2_cover
-
         assert pow2_cover(0.0, 0.5) == (0.5, 0)
         # An exact-multiple extent still doubles: the boundary epsilon
         # keeps points on the max face inside the half-open cells.
@@ -98,8 +17,6 @@ class TestPow2Cover:
         assert pow2_cover(7.9, 0.5) == (8.0, 4)
 
     def test_side_is_leaf_times_power_and_covers(self):
-        from repro.geometry.bbox import pow2_cover
-
         rng = np.random.default_rng(3)
         for _ in range(200):
             extent = float(rng.uniform(0.0, 100.0))
@@ -108,12 +25,3 @@ class TestPow2Cover:
             assert side == leaf * 2**depth
             assert side >= extent * (1.0 - 1e-12)
             assert depth == 0 or side / 2.0 < extent * (1.0 + 1e-12)
-
-    def test_matches_for_leaf_size(self):
-        rng = np.random.default_rng(4)
-        xyz = rng.uniform(-20, 20, size=(50, 3))
-        cube, depth = BoundingCube.for_leaf_size(xyz, 0.04)
-        extent = float(np.max(xyz.max(axis=0) - xyz.min(axis=0)))
-        from repro.geometry.bbox import pow2_cover
-
-        assert (cube.side, depth) == pow2_cover(extent, 0.04)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.octree import OctreeCodec, build_octree_structure
-from repro.octree.octree import expand_occupancy_level
+from repro.geometry.bbox import pow2_cover
+from repro.octree import MAX_POINTS, OctreeCodec, build_octree_structure, quantize
+from repro.octree.morton import deinterleave
+from repro.octree.octree import expand_occupancy_level, leaf_points
 
 
 def _random_cloud(n, scale=20.0, seed=0):
@@ -47,18 +49,110 @@ class TestStructure:
         s = build_octree_structure(codes, depth=3)
         nodes = np.zeros(1, dtype=np.int64)
         for level in range(3):
-            nodes = expand_occupancy_level(nodes, s.occupancy[level])
+            nodes = expand_occupancy_level(nodes, s.occupancy[level], codes.size)
         assert np.array_equal(nodes, codes)
 
     def test_expand_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            expand_occupancy_level(np.array([0, 1]), np.array([1], dtype=np.uint8))
+            expand_occupancy_level(np.array([0, 1]), np.array([1], dtype=np.uint8), 8)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_levels_match_unique_per_level(self, dims):
+        # The run-boundary dedupe gives what np.unique gives at every level.
+        rng = np.random.default_rng(7)
+        depth = 6
+        codes = rng.integers(0, 1 << (dims * depth), size=400)
+        s = build_octree_structure(np.concatenate([codes, codes[:50]]), depth, dims)
+        child = np.unique(codes)
+        assert np.array_equal(s.leaf_codes, child)
+        assert s.n_points == 450
+        for level in reversed(range(depth)):
+            parents, inverse = np.unique(child >> dims, return_inverse=True)
+            occ = np.zeros(parents.size, dtype=np.int64)
+            np.bitwise_or.at(occ, inverse, 1 << (child & ((1 << dims) - 1)))
+            assert np.array_equal(s.node_codes[level], parents)
+            assert s.occupancy[level].dtype == np.uint8
+            assert np.array_equal(s.occupancy[level], occ)
+            child = parents
+
+    def test_quadtree_levels(self):
+        # Cells 0 and 3 of a depth-1 quadtree -> root occupancy 0b1001.
+        s = build_octree_structure(np.array([3, 0, 3]), depth=1, dims=2)
+        assert s.occupancy_stream().tolist() == [0b1001]
+        assert s.leaf_counts.tolist() == [1, 2]
+        with pytest.raises(ValueError):
+            build_octree_structure(np.array([4]), depth=1, dims=2)
+
+    def test_expand_stops_past_max_nodes(self):
+        full = np.array([255], dtype=np.uint8)
+        assert expand_occupancy_level(np.zeros(1, np.int64), full, 8).size == 8
+        with pytest.raises(ValueError, match="more nodes than points"):
+            expand_occupancy_level(np.zeros(1, np.int64), full, 7)
+
+    def test_leaf_points_checks_counts(self):
+        codes = np.array([0, 7])
+        points = leaf_points(codes, np.array([1, 2]), 3, np.zeros(3), 1.0)
+        assert points.tolist() == [[0.5] * 3, [1.5] * 3, [1.5] * 3]
+        with pytest.raises(ValueError, match="does not match"):
+            leaf_points(codes, np.array([3]), 3, np.zeros(3), 1.0)
+        for counts in ([1, 3], [0, 3], [-1, 4]):
+            with pytest.raises(ValueError, match="point count"):
+                leaf_points(codes, np.array(counts), 3, np.zeros(3), 1.0)
+
+
+class TestQuantize:
+    def test_grid_side_is_power_of_two_multiple(self):
+        pts = np.array([[0.0, 0.0, 0.0], [10.0, 3.0, 1.0]])
+        codes, origin, depth = quantize(pts, 0.04)
+        assert origin.tolist() == [0.0, 0.0, 0.0]
+        assert 0.04 * 2**depth >= 10.0
+        cells = deinterleave(codes, 3)
+        assert cells.min() >= 0 and cells.max() < 2**depth
+
+    def test_rejects_bad_leaf(self):
+        for leaf in (0.0, -0.04):
+            with pytest.raises(ValueError):
+                quantize(np.zeros((1, 3)), leaf)
+
+    def test_single_point_depth_zero(self):
+        codes, origin, depth = quantize(np.array([[1.0, 1.0, 1.0]]), 0.04)
+        assert depth == 0
+        assert codes.tolist() == [0]
+        assert origin.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_matches_pow2_cover(self, dims):
+        rng = np.random.default_rng(4)
+        xyz = rng.uniform(-20, 20, size=(50, dims))
+        codes, origin, depth = quantize(xyz, 0.04)
+        extent = float(np.max(xyz.max(axis=0) - xyz.min(axis=0)))
+        assert depth == pow2_cover(extent, 0.04)[1]
+        assert np.array_equal(origin, xyz.min(axis=0))
+        cells = deinterleave(codes, dims)
+        assert np.array_equal(cells, np.floor((xyz - origin) / 0.04))
+
+    def test_encode_refuses_more_than_max_points(self, monkeypatch):
+        # Patched down so the test needs no 4M-point cloud.
+        monkeypatch.setattr("repro.octree.octree.MAX_POINTS", 10)
+        codec = OctreeCodec(0.04)
+        xyz = _random_cloud(11)
+        with pytest.raises(ValueError, match="points"):
+            codec.encode(xyz)
+        assert codec.decode(codec.encode(xyz[:10])).shape == (10, 3)
+        assert MAX_POINTS == 1 << 22
 
 
 class TestOctreeCodec:
     def test_rejects_bad_leaf(self):
         with pytest.raises(ValueError):
             OctreeCodec(0.0)
+
+    def test_rejects_bad_dims(self):
+        for dims in (1, 4):
+            with pytest.raises(ValueError):
+                OctreeCodec(0.04, dims=dims)
+        with pytest.raises(ValueError):
+            OctreeCodec(0.04).encode(np.zeros((3, 2)))
 
     def test_empty_cloud(self):
         codec = OctreeCodec(0.04)

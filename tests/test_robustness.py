@@ -22,12 +22,14 @@ from repro.baselines import (
     OctreeICompressor,
 )
 from repro.core import DBGCCompressor, DBGCDecompressor, DBGCParams
+from repro.core.temporal import TemporalContext, _decode_dense_delta, _encode_dense_delta
 from repro.datasets import generate_frame
 from repro.entropy import (
     arithmetic_encode,
     decode_tagged_ints,
     decode_tagged_symbols,
     deflate_decompress,
+    encode_tagged_ints,
     encode_tagged_symbols,
     huffman_compress,
     huffman_decompress,
@@ -36,7 +38,7 @@ from repro.entropy.deflate import _MODE_DEFLATE
 from repro.entropy.lz77 import MIN_MATCH
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry import PointCloud
-from repro.octree import OctreeCodec, QuadtreeCodec
+from repro.octree import OctreeCodec
 
 DECODE_ERRORS = (ValueError, IndexError, KeyError, StopIteration, struct.error, OverflowError)
 
@@ -190,6 +192,43 @@ def _full_tree_section(dims, version, depth):
     return bytes(out) + stream
 
 
+def _one_leaf_section(dims, n_points):
+    """A depth-0 tree section: one leaf holding all ``n_points`` points."""
+    out = bytearray()
+    encode_uvarint(n_points, out)
+    out += struct.pack(f"<{dims + 1}d", *([0.0] * dims), 0.04)
+    encode_uvarint(0, out)  # depth
+    encode_uvarint(0, out)  # n_occupancy
+    return bytes(out) + encode_tagged_ints(np.array([n_points - 1]))
+
+
+def _wrapping_counts_section(dims, n_points):
+    """A depth-1 tree of four leaves whose int64 leaf counts sum, wrapped
+    past 2^64, to ``n_points``."""
+    out = bytearray()
+    encode_uvarint(n_points, out)
+    out += struct.pack(f"<{dims + 1}d", *([0.0] * dims), 0.04)
+    encode_uvarint(1, out)  # depth
+    encode_uvarint(1, out)  # n_occupancy
+    occupancy = encode_tagged_symbols(np.array([0b1111]), 1 << (1 << dims))
+    encode_uvarint(len(occupancy), out)
+    counts = np.array([2**62] * 3 + [2**62 + n_points], dtype=np.int64) - 1
+    return bytes(out) + occupancy + encode_tagged_ints(counts)
+
+
+def _one_leaf_dense_delta(n_points):
+    """A one-point v3 dense delta section rewritten to hold ``n_points``."""
+    context = TemporalContext()
+    context.prev_cloud = np.zeros((1, 3))
+    xyz = np.zeros((1, 3))
+    payload = _encode_dense_delta(xyz, DBGCParams(), context, (0.0, 0.0, 0.0), 1 << 20)[0]
+    counts = encode_tagged_ints(np.array([0]))
+    assert payload[0] == 1 and payload.endswith(counts)
+    out = bytearray()
+    encode_uvarint(n_points, out)
+    return bytes(out) + payload[1 : -len(counts)] + encode_tagged_ints(np.array([n_points - 1]))
+
+
 #: Format v2's retired ``rans`` tag; no decoder accepts it any more.
 _RANS_TAG = 1
 _CLAIM = 2 * 10**7
@@ -224,7 +263,7 @@ class TestInflatedClaims:
 
     @pytest.mark.parametrize(
         "codec, dims, depth",
-        [(OctreeCodec(0.04), 3, 7), (QuadtreeCodec(0.04), 2, 10)],
+        [(OctreeCodec(0.04), 3, 7), (OctreeCodec(0.04, dims=2), 2, 10)],
         ids=["octree", "quadtree"],
     )
     @pytest.mark.parametrize("version", [1, 2], ids=["1", "2-adaptive-arith"])
@@ -245,7 +284,33 @@ class TestInflatedClaims:
         encode_uvarint(10**5, out)
         encode_uvarint(0, out)
         with pytest.raises(ValueError, match="depth"):
-            QuadtreeCodec(0.04).decode(bytes(out), version=1)
+            OctreeCodec(0.04, dims=2).decode(bytes(out), version=1)
+
+    @pytest.mark.parametrize("dims", [3, 2], ids=["octree", "quadtree"])
+    def test_tree_point_count_capped(self, dims):
+        # 10^7 points in one leaf: the claim is checked against MAX_POINTS
+        # before anything is decoded, not sized into a 10^7-row array.
+        data = _one_leaf_section(dims, 10**7)
+        start = time.perf_counter()
+        _raises_within(OctreeCodec(0.04, dims=dims).decode, data, 16 << 20)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("dims", [3, 2], ids=["octree", "quadtree"])
+    def test_leaf_counts_cannot_wrap_to_the_point_count(self, dims):
+        # Each count must lie in [1, n_points]; unchecked, these four sum
+        # to 5 in int64 and np.repeat is handed 2^62 copies of a leaf.
+        data = _wrapping_counts_section(dims, 5)
+        _raises_within(OctreeCodec(0.04, dims=dims).decode, data, 1 << 20)
+
+    def test_dense_delta_point_count_capped(self):
+        data = _one_leaf_dense_delta(10**7)
+        context = TemporalContext()
+        context.prev_cloud = np.zeros((1, 3))
+        start = time.perf_counter()
+        _raises_within(
+            lambda d: _decode_dense_delta(d, context, (0.0, 0.0, 0.0)), data, 16 << 20
+        )
+        assert time.perf_counter() - start < 1.0
 
     def test_lz77_match_longer_than_max_rejected(self):
         # One literal, then one overlapping match claiming 10^6 bytes.
