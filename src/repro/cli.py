@@ -76,18 +76,80 @@ def _sensor_from_args(args: argparse.Namespace) -> SensorModel:
     return sensor
 
 
-def _add_sensor_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sensor-scale",
-        type=float,
-        default=0.5,
-        help="angular resolution scale of the HDL-64E model (default 0.5)",
-    )
-
-
 def _frame_list(text: str) -> frozenset[int]:
     """``--disconnect-frames``: comma-separated frame numbers."""
     return frozenset(int(i) for i in text.split(",") if i.strip())
+
+
+#: Flags more than one subcommand declares: argparse keywords by name.
+_FLAGS: dict[str, dict] = {
+    "--sensor-scale": dict(
+        type=float, default=0.5,
+        help="angular resolution scale of the HDL-64E model (default %(default)s)",
+    ),
+    # Fault injection and client transport (stream, fleet).
+    "--corrupt-rate": dict(
+        type=float, default=0.0, help="per-attempt probability of payload bit flips",
+    ),
+    "--ack-drop-rate": dict(
+        type=float, default=0.0,
+        help="probability a server ACK is lost (exercises dedupe)",
+    ),
+    "--disconnect-frames": dict(
+        type=_frame_list, default="",
+        help="comma-separated frame numbers whose first send is cut "
+        "mid-record (on every client of a fleet)",
+    ),
+    "--bandwidth": dict(
+        type=float, default=0.0,
+        help="uplink bandwidth per client in Mbps; 0 disables pacing "
+        "(default %(default)s)",
+    ),
+    "--ack-timeout": dict(
+        type=float, default=2.0,
+        help="seconds to wait for a server ACK before retransmitting",
+    ),
+    "--window": dict(
+        type=int, default=1,
+        help="sliding-window size: unACKed frames in flight per stream "
+        "(protocol v2.2 selective repeat; 1 = stop-and-wait)",
+    ),
+    # The server (stream, serve, fleet).
+    "--mode": dict(
+        default="store", choices=["decompress", "store"],
+        help="server behavior: decompress clouds or store raw payloads",
+    ),
+    "--shards": dict(
+        type=int, default=1, help="SQLite store shards (frame_index %% shards routing)",
+    ),
+    "--max-clients": dict(
+        type=int, default=8,
+        help="concurrent connection-handler cap (fleet default: the client count)",
+    ),
+    "--replication": dict(
+        type=int, default=1, help="store each frame on N shards (needs --shards > 1)",
+    ),
+    "--receipt-journal": dict(
+        default="", metavar="PATH",
+        help="durable receipt journal: a server restarted over it answers "
+        "retransmissions of already-stored frames with DUPLICATE",
+    ),
+    "--decode-workers": dict(
+        type=int, default=0, metavar="N",
+        help="decode offload tier: decoder worker processes, each keyframe "
+        "chain on one (needs --mode decompress; 0 = decode inline)",
+    ),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str, **defaults) -> None:
+    """Declare the shared flags ``names``; ``defaults`` overrides by dest."""
+    for name in names:
+        kwargs = dict(_FLAGS[name])
+        kwargs["default"] = defaults.pop(name[2:].replace("-", "_"), kwargs["default"])
+        parser.add_argument(name, **kwargs)
+    if defaults:
+        raise TypeError(f"defaults for undeclared flags: {sorted(defaults)}")
 
 
 def _emit_metrics(recorder, dest: str) -> None:
@@ -415,7 +477,7 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
 def _open_serve_store(args: argparse.Namespace):
     from repro.system import ShardedFrameStore, SqliteFrameStore
 
-    replication = getattr(args, "replication", 1)
+    replication = args.replication
     if args.shards > 1:
         return ShardedFrameStore.sqlite(
             args.shards,
@@ -557,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="write an observability JSON report to PATH ('-' for stdout)",
     )
-    _add_sensor_arg(p)
+    _add_flags(p, "--sensor-scale")
     p.set_defaults(func=_cmd_compress)
 
     p = sub.add_parser("decompress", help="decompress a .dbgc stream")
@@ -574,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="output cloud (.bin/.ply/.npz)")
     p.add_argument("--frame", type=int, default=0, help="frame index on the drive")
     p.add_argument("--seed", type=int, default=0, help="scene random seed")
-    _add_sensor_arg(p)
+    _add_flags(p, "--sensor-scale")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
@@ -608,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="decode the written stream back and check the frame count",
     )
-    _add_sensor_arg(p)
+    _add_flags(p, "--sensor-scale")
     p.set_defaults(func=_cmd_sequence)
 
     p = sub.add_parser("dataset", help="create or inspect a frame archive")
@@ -617,7 +679,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", default="kitti-city", choices=sorted(SCENE_BUILDERS))
     p.add_argument("--frames", type=int, default=5, help="frames to generate")
     p.add_argument("--seed", type=int, default=0)
-    _add_sensor_arg(p)
+    _add_flags(p, "--sensor-scale")
     p.set_defaults(func=_cmd_dataset)
 
     from repro.eval.experiments import list_experiments
@@ -629,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which table/figure to regenerate",
     )
     p.add_argument("--scene", default="kitti-city", choices=sorted(SCENE_BUILDERS))
-    _add_sensor_arg(p)
+    _add_flags(p, "--sensor-scale")
     p.set_defaults(func=_cmd_reproduce)
 
     p = sub.add_parser("verify", help="validate a .dbgc stream")
@@ -638,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--original",
         help="original cloud file: also verify the error-bound contract",
     )
-    _add_sensor_arg(p)
+    _add_flags(p, "--sensor-scale")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
@@ -649,50 +711,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="scene random seed")
     p.add_argument("--q", type=float, default=0.02, help="error bound in meters")
     p.add_argument(
-        "--mode", default="decompress", choices=["decompress", "store"],
-        help="server behavior: decompress clouds or store raw payloads",
-    )
-    p.add_argument(
         "--store", default="", help="SQLite path for the server store (default memory)"
-    )
-    p.add_argument(
-        "--bandwidth", type=float, default=8.2,
-        help="uplink bandwidth in Mbps; 0 disables pacing (default 4G: 8.2)",
     )
     p.add_argument(
         "--policy", default="block", choices=["block", "drop-oldest", "coarsen"],
         help="send-queue overflow policy under congestion",
     )
     p.add_argument("--queue-capacity", type=int, default=8, help="send queue bound")
-    p.add_argument(
-        "--ack-timeout", type=float, default=10.0,
-        help="seconds to wait for a server ACK before retransmitting",
-    )
-    p.add_argument(
-        "--window", type=int, default=1,
-        help="sliding-window size: unACKed frames in flight per stream "
-        "(protocol v2.2 selective repeat; 1 = stop-and-wait)",
-    )
     p.add_argument("--fault-seed", type=int, default=0, help="fault injection seed")
-    p.add_argument(
-        "--corrupt-rate", type=float, default=0.0,
-        help="per-attempt probability of payload bit flips",
-    )
     p.add_argument(
         "--disconnect-rate", type=float, default=0.0,
         help="per-attempt probability of a mid-record disconnect",
     )
     p.add_argument(
-        "--ack-drop-rate", type=float, default=0.0,
-        help="probability a server ACK is lost (exercises dedupe)",
-    )
-    p.add_argument(
         "--jitter", type=float, default=0.0,
         help="bandwidth jitter amplitude in [0, 1)",
     )
-    p.add_argument(
-        "--disconnect-frames", type=_frame_list, default="",
-        help="comma-separated frame indices whose first send is cut mid-record",
+    _add_flags(
+        p, "--mode", "--bandwidth", "--ack-timeout", "--window", "--corrupt-rate",
+        "--ack-drop-rate", "--disconnect-frames",
+        mode="decompress", bandwidth=8.2, ack_timeout=10.0,
     )
     p.add_argument(
         "--metrics",
@@ -702,28 +740,16 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="emit an observability JSON report (to PATH, or stdout if bare)",
     )
-    _add_sensor_arg(p)
+    _add_flags(p, "--sensor-scale")
     p.set_defaults(func=_cmd_stream)
 
     p = sub.add_parser("serve", help="run a standalone multi-client ingest server")
     p.add_argument("--host", default="127.0.0.1", help="bind address")
     p.add_argument("--port", type=int, default=0, help="bind port (0 = ephemeral)")
     p.add_argument(
-        "--max-clients", type=int, default=8,
-        help="concurrent connection-handler cap",
-    )
-    p.add_argument(
-        "--shards", type=int, default=1,
-        help="SQLite store shards (frame_index %% shards routing)",
-    )
-    p.add_argument(
         "--store", default="",
         help="store path: SQLite file, or shard directory when --shards > 1 "
         "(default: in-memory)",
-    )
-    p.add_argument(
-        "--mode", default="store", choices=["decompress", "store"],
-        help="server behavior: decompress clouds or store raw payloads",
     )
     p.add_argument(
         "--exit-after-streams", type=int, default=0, metavar="N",
@@ -734,28 +760,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds to wait for --exit-after-streams before giving up",
     )
     p.add_argument(
-        "--replication", type=int, default=1,
-        help="store each frame on N shards (needs --shards > 1)",
-    )
-    p.add_argument(
-        "--receipt-journal", default="", metavar="PATH",
-        help="durable receipt journal: a server restarted over it answers "
-        "retransmissions of already-stored frames with DUPLICATE",
-    )
-    p.add_argument(
         "--busy-threshold", type=float, default=0.0, metavar="SECONDS",
         help="store-latency EWMA above which ACKs carry the BUSY "
         "backpressure hint (0 = disabled)",
     )
     p.add_argument(
-        "--decode-workers", type=int, default=0, metavar="N",
-        help="decode offload tier: decoder worker processes with "
-        "per-stream affinity (decompress mode; 0 = decode inline)",
-    )
-    p.add_argument(
         "--journal-rotate-bytes", type=int, default=0, metavar="BYTES",
         help="seal the receipt journal into a new segment past this size "
         "and compact fully-ended streams (0 = never rotate)",
+    )
+    _add_flags(
+        p, "--mode", "--shards", "--max-clients", "--replication",
+        "--receipt-journal", "--decode-workers",
     )
     p.set_defaults(func=_cmd_serve)
 
@@ -766,49 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=int, default=25, help="frames per client")
     p.add_argument("--seed", type=int, default=0, help="payload/fault root seed")
     p.add_argument(
-        "--shards", type=int, default=2, help="SQLite store shards on the server"
-    )
-    p.add_argument(
-        "--max-clients", type=int, default=None,
-        help="server handler cap (default: the client count)",
-    )
-    p.add_argument(
-        "--corrupt-rate", type=float, default=0.0,
-        help="per-attempt probability of payload bit flips",
-    )
-    p.add_argument(
-        "--ack-drop-rate", type=float, default=0.0,
-        help="probability a server ACK is lost (exercises dedupe)",
-    )
-    p.add_argument(
-        "--disconnect-frames", type=_frame_list, default="",
-        help="comma-separated local frame numbers cut mid-record on every client",
-    )
-    p.add_argument(
-        "--bandwidth", type=float, default=0.0,
-        help="per-client uplink bandwidth in Mbps; 0 disables pacing",
-    )
-    p.add_argument(
-        "--ack-timeout", type=float, default=2.0,
-        help="seconds to wait for a server ACK before retransmitting",
-    )
-    p.add_argument(
-        "--window", type=int, default=1,
-        help="sliding-window size per client (protocol v2.2 selective "
-        "repeat; 1 = stop-and-wait)",
-    )
-    p.add_argument(
         "--latency", type=float, default=0.0, metavar="SECONDS",
         help="simulated one-way link latency, charged on the ACK path "
         "(shows the window's bandwidth×delay win on loopback)",
-    )
-    p.add_argument(
-        "--replication", type=int, default=1,
-        help="store each frame on N shards (replica fan-out)",
-    )
-    p.add_argument(
-        "--receipt-journal", default="", metavar="PATH",
-        help="durable receipt journal backing server restart recovery",
     )
     p.add_argument(
         "--kill-after", type=int, default=0, metavar="N",
@@ -817,21 +793,17 @@ def build_parser() -> argparse.ArgumentParser:
         "(requires --receipt-journal)",
     )
     p.add_argument(
-        "--mode", default="store", choices=["decompress", "store"],
-        help="server behavior: decompress clouds (clients send real "
-        "compressed frames) or store raw payloads",
-    )
-    p.add_argument(
-        "--decode-workers", type=int, default=0, metavar="N",
-        help="decode offload tier: decoder worker processes with "
-        "per-stream affinity (needs --mode decompress; 0 = inline)",
-    )
-    p.add_argument(
         "--temporal", action="store_true",
         help="decompress mode: send a temporal stream (v3 delta frames "
         "between keyframes) instead of independent intra frames",
     )
-    _add_sensor_arg(p)
+    _add_flags(
+        p, "--corrupt-rate", "--ack-drop-rate", "--disconnect-frames",
+        "--bandwidth", "--ack-timeout", "--window", "--mode", "--shards",
+        "--max-clients", "--replication", "--receipt-journal",
+        "--decode-workers", "--sensor-scale",
+        shards=2, max_clients=None,
+    )
     p.set_defaults(func=_cmd_fleet)
 
     p = sub.add_parser(
@@ -856,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scene", default="kitti-city", choices=sorted(SCENE_BUILDERS))
     p.add_argument("--input", help="use a cloud file instead of a synthetic frame")
     p.add_argument("--q", type=float, default=0.02, help="error bound in meters")
-    _add_sensor_arg(p)
+    _add_flags(p, "--sensor-scale")
     p.set_defaults(func=_cmd_bench)
 
     return parser

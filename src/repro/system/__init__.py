@@ -36,15 +36,19 @@ answer by slowing down or coarsening.
 :class:`~repro.system.faults.ServerKillSwitch` injects the process fault
 deterministically for the kill-and-restart drills.
 
-The decode offload tier (``DbgcServer(decode_workers=N)``) moves
-``decompress``-mode decoding off the GIL-bound handler threads onto a
+The client compresses each frame inline, one at a time.  The server's
+decode offload tier (``DbgcServer(decode_workers=N)``) is the system's
+one process pool: it moves ``decompress``-mode decoding off the
+GIL-bound handler threads onto a
 :class:`~repro.system.pool.StickyWorkerPool` of decoder worker
-processes with per-stream affinity: each worker owns its streams'
-stateful temporal decoders, frames decode in arrival order, and decoded
-clouds return through pickle-protocol-5 out-of-band buffers — so
-decompress-mode fleet throughput scales with cores.  Only where the
-decode runs changes: every mode shares one ingest sequence and with it
-every contract (ACK after commit, journaling, quarantine, dedupe).
+processes.  Each decode chain (a keyframe and the deltas after it) pins
+to one worker, which owns the chain's stateful temporal decoder;
+successive chains take the workers in turn, frames decode in arrival
+order, and decoded clouds return through pickle-protocol-5 out-of-band
+buffers — so decompress-mode fleet throughput scales with cores.  Only
+where the decode runs changes: every mode shares one ingest sequence and
+with it every contract (ACK after commit, journaling, quarantine,
+dedupe).
 
 The pipelined transport (protocol v2.2, ``DbgcClient(window=W)``)
 overlaps send, decode, and commit *within* a stream: a selective-repeat

@@ -63,6 +63,20 @@ __all__ = ["DbgcClient", "OVERFLOW_POLICIES"]
 #: Send-queue overflow policies (engaged when the uplink falls behind).
 OVERFLOW_POLICIES = ("block", "drop-oldest", "coarsen")
 
+#: Error-bound multiplier of the ``"coarsen"`` policy's recompression.
+COARSEN_FACTOR = 4.0
+
+#: How long a server BUSY hint holds: the link counts as congested for
+#: the ``"coarsen"`` policy's ``supports()`` check until it expires, and
+#: a sender at the window floor of 1 pauses this long before transmitting.
+BUSY_BACKOFF_S = 0.05
+
+#: Seconds a TCP connect may take.
+CONNECT_TIMEOUT_S = 10.0
+
+#: Ceiling of one reconnect backoff sleep, before jitter.
+BACKOFF_CAP_S = 2.0
+
 _CLOSE = object()  # queue sentinel: flush and send END
 
 
@@ -162,45 +176,43 @@ class DbgcClient:
         Bounded send-queue size and what to do when it overflows:
         ``"block"`` the producer, ``"drop-oldest"`` (evict the stalest
         queued frame), or ``"coarsen"`` (recompress the incoming frame at
-        ``coarsen_factor * q_xyz`` when the link is congested, blocking
+        ``COARSEN_FACTOR * q_xyz`` when the link is congested, blocking
         only if it still does not fit).
-    coarsen_factor:
-        Error-bound multiplier applied by the ``"coarsen"`` policy.
     max_retries:
         Retransmissions allowed per frame after the first attempt; a
-        frame whose retries are exhausted is recorded as dropped.
-    ack_timeout, connect_timeout:
-        Seconds to wait for a server ACK / for a TCP connect.  The ACK
-        wait is an overall per-frame deadline: stale or out-of-order
-        records shrink the remaining wait instead of resetting it.
-    backoff_base, backoff_cap:
-        Reconnect backoff: attempt *i* sleeps
-        ``min(cap, base * 2**i) * uniform(0.5, 1.0)``.
-    retry_seed:
-        Seed of the backoff-jitter RNG (deterministic tests).
-    connect_retries:
-        Attempts for the *initial* connect (defaults to ``max_retries``).
+        frame whose retries are exhausted is recorded as dropped.  Also
+        the retries of every connect, the initial one included:
         ``__init__`` either returns a fully working client or raises with
         every socket closed — never a half-built object.
+    ack_timeout:
+        Seconds to wait for a server ACK.  The wait is an overall
+        per-frame deadline: stale or out-of-order records shrink the
+        remaining wait instead of resetting it.  A TCP connect waits
+        :data:`CONNECT_TIMEOUT_S`.
+    backoff_base:
+        Reconnect backoff: attempt *i* sleeps
+        ``min(BACKOFF_CAP_S, base * 2**i) * uniform(0.5, 1.0)``.
+    retry_seed:
+        Seed of the backoff-jitter RNG (deterministic tests).
     stream_id:
         This client's stream identity, announced in a HELLO record on
         every connection (initial and reconnects).  The server keys all
         per-stream state — dedupe, ACK ordinals, receipts — by it, so
         give each client of a fleet its own id.
-    busy_backoff_s:
-        How long to honor a server BUSY hint (the backpressure bit an
-        overloaded server sets on its ACKs): the link counts as congested
-        for the ``"coarsen"`` policy's ``supports()`` check until the
-        pause expires.  Each hint halves the AIMD congestion window; once
-        the effective window is at its floor of 1 — always, at
-        ``window=1`` — the sender also pauses this many seconds before
-        the next transmit, since there is nothing left to halve.
     window:
         Maximum unACKed frames in flight (selective repeat, protocol
         v2.2).  ``1`` (default) is the classic stop-and-wait behavior.
         The value is advertised to the server in the HELLO record's
         flags byte (capped at 255), and the *effective* window adapts
         between 1 and ``window`` via AIMD on server BUSY hints.
+
+    A server BUSY hint (the backpressure bit an overloaded server sets
+    on its ACKs) holds for :data:`BUSY_BACKOFF_S`: the link counts as
+    congested for the ``"coarsen"`` policy until it expires.  Each hint
+    halves the AIMD congestion window; once the effective window is at
+    its floor of 1 — always, at ``window=1`` — the sender also pauses
+    that long before the next transmit, since there is nothing left to
+    halve.
     """
 
     def __init__(
@@ -211,16 +223,11 @@ class DbgcClient:
         channel: BandwidthShaper | FaultyChannel | None = None,
         queue_capacity: int = 8,
         overflow_policy: str = "block",
-        coarsen_factor: float = 4.0,
         max_retries: int = 5,
         ack_timeout: float = 10.0,
-        connect_timeout: float = 10.0,
         backoff_base: float = 0.05,
-        backoff_cap: float = 2.0,
         retry_seed: int = 0,
-        connect_retries: int | None = None,
         stream_id: int = 0,
-        busy_backoff_s: float = 0.05,
         window: int = 1,
     ) -> None:
         if overflow_policy not in OVERFLOW_POLICIES:
@@ -240,14 +247,10 @@ class DbgcClient:
         self.compressor = DBGCCompressor(params, sensor=sensor)
         self.channel = channel
         self.overflow_policy = overflow_policy
-        self.coarsen_factor = float(coarsen_factor)
         self.max_retries = int(max_retries)
         self.ack_timeout = float(ack_timeout)
-        self.connect_timeout = float(connect_timeout)
         self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self.stream_id = int(stream_id)
-        self.busy_backoff_s = float(busy_backoff_s)
         self.window = int(window)
         #: Monotonic deadline until which the server's BUSY hint holds.
         self._busy_until = 0.0
@@ -270,8 +273,7 @@ class DbgcClient:
         self._closed = False
         self._sock: socket.socket | None = None
         self._sender: threading.Thread | None = None
-        retries = self.max_retries if connect_retries is None else int(connect_retries)
-        self._sock = self._connect(retries, first_immediate=True)
+        self._sock = self._connect(first_immediate=True)
         try:
             self._hello()
         except OSError as exc:
@@ -367,7 +369,7 @@ class DbgcClient:
         if not self._congested(len(item.payload)):
             return item
         if self._coarse_compressor is None:
-            coarse = replace(self.params, q_xyz=self.params.q_xyz * self.coarsen_factor)
+            coarse = replace(self.params, q_xyz=self.params.q_xyz * COARSEN_FACTOR)
             self._coarse_compressor = DBGCCompressor(coarse, sensor=self.sensor)
         payload = self._coarse_compressor.compress(cloud)
         trace = item.trace
@@ -378,7 +380,7 @@ class DbgcClient:
                 "degrade",
                 trace.frame_index,
                 detail=(
-                    f"q_xyz x{self.coarsen_factor:g}: "
+                    f"q_xyz x{COARSEN_FACTOR:g}: "
                     f"{trace.payload_bytes} -> {len(payload)} bytes"
                 ),
             )
@@ -412,7 +414,7 @@ class DbgcClient:
                     pause = self._busy_until - time.perf_counter()
                     if pause > 0:
                         # Server backpressure: slow down before transmit.
-                        time.sleep(min(pause, self.busy_backoff_s))
+                        time.sleep(min(pause, BUSY_BACKOFF_S))
                 try:
                     self._launch(item)
                 except BaseException as exc:
@@ -650,25 +652,23 @@ class DbgcClient:
 
     def _note_busy(self) -> None:
         """Honor a server BUSY hint: mark congestion (and pause at the window floor)."""
-        self._busy_until = time.perf_counter() + self.busy_backoff_s
+        self._busy_until = time.perf_counter() + BUSY_BACKOFF_S
         with self._lock:
             self.report.busy_hints += 1
         _obs.count("transport.busy_hints")
 
-    def _connect(self, retries: int, first_immediate: bool = False) -> socket.socket:
+    def _connect(self, first_immediate: bool = False) -> socket.socket:
         last: BaseException | None = None
-        for attempt in range(retries + 1):
+        for attempt in range(self.max_retries + 1):
             if attempt > 0 or not first_immediate:
-                delay = min(self.backoff_cap, self.backoff_base * (2 ** max(0, attempt - 1)))
+                delay = min(BACKOFF_CAP_S, self.backoff_base * (2 ** max(0, attempt - 1)))
                 time.sleep(delay * (0.5 + 0.5 * self._rng.random()))
             try:
-                return socket.create_connection(
-                    self.address, timeout=self.connect_timeout
-                )
+                return socket.create_connection(self.address, timeout=CONNECT_TIMEOUT_S)
             except OSError as exc:
                 last = exc
         raise ConnectionError(
-            f"could not connect to {self.address} after {retries + 1} attempts"
+            f"could not connect to {self.address} after {self.max_retries + 1} attempts"
         ) from last
 
     def _hello(self) -> None:
@@ -681,7 +681,7 @@ class DbgcClient:
     def _reconnect(self) -> None:
         if self._sock is not None:
             self._sock.close()
-        self._sock = self._connect(self.max_retries)
+        self._sock = self._connect()
         try:
             self._hello()
         except OSError as exc:

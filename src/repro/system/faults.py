@@ -36,6 +36,9 @@ __all__ = ["FaultSpec", "FaultPlan", "FaultyChannel", "ServerKillSwitch"]
 #: Sentinel distinguishing "not given" from an explicit ``shaper=None``.
 _UNSET = object()
 
+#: How often :class:`ServerKillSwitch` polls the server's stored count.
+_KILL_POLL_S = 0.002
+
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -100,7 +103,7 @@ class ServerKillSwitch:
     The channel faults above model a lossy *link*; this models a dying
     *endpoint*.  :meth:`arm` starts a watcher thread that polls the
     server's stored-frame count (its receipts, evicted ones included)
-    and calls
+    every 2 ms and calls
     :meth:`~repro.system.server.DbgcServer.kill` — the SIGKILL-equivalent
     stop — the moment it reaches ``kill_after_frames``, then invokes
     ``on_kill`` (the restart hook).  The kill point is deterministic in
@@ -110,13 +113,12 @@ class ServerKillSwitch:
     instant.
     """
 
-    def __init__(self, kill_after_frames: int, poll_interval_s: float = 0.002) -> None:
+    def __init__(self, kill_after_frames: int) -> None:
         if kill_after_frames < 1:
             raise ValueError(
                 f"kill_after_frames must be >= 1, got {kill_after_frames}"
             )
         self.kill_after_frames = int(kill_after_frames)
-        self.poll_interval_s = float(poll_interval_s)
         #: Set once the server has been killed.
         self.fired = threading.Event()
         self._cancel = threading.Event()
@@ -135,7 +137,7 @@ class ServerKillSwitch:
                     if on_kill is not None:
                         on_kill()
                     return
-                self._cancel.wait(self.poll_interval_s)
+                self._cancel.wait(_KILL_POLL_S)
 
         self._thread = threading.Thread(target=watch, daemon=True)
         self._thread.start()

@@ -7,7 +7,7 @@ client of the fleet gets
 - its own **stream id** (= client id), so server-side dedupe, ACK
   ordinals, and receipts are scoped per client;
 - a disjoint global frame-index range — client *k* owns
-  ``[k * index_stride, k * index_stride + frames_per_client)`` — so the
+  ``[k * INDEX_STRIDE, k * INDEX_STRIDE + frames_per_client)`` — so the
   shared (sharded) store never sees two writers on one index;
 - an independent, deterministically derived
   :class:`~repro.system.faults.FaultyChannel`
@@ -51,6 +51,9 @@ __all__ = [
     "run_fleet",
 ]
 
+#: Client k owns global frame indices [k * INDEX_STRIDE, (k + 1) * INDEX_STRIDE).
+INDEX_STRIDE = 1_000_000
+
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -66,8 +69,6 @@ class FleetSpec:
     #: mid-record, applied to every client (translated to each client's
     #: global index range).
     force_disconnect_local: frozenset[int] = frozenset()
-    #: Client k owns global indices [k * stride, k * stride + frames).
-    index_stride: int = 1_000_000
     #: Inclusive payload-size range in bytes.
     payload_bytes: tuple[int, int] = (180, 300)
     #: Per-client uplink bandwidth (each client gets its own shaper), or
@@ -82,7 +83,6 @@ class FleetSpec:
     ack_timeout: float = 2.0
     backoff_base: float = 0.01
     max_retries: int = 5
-    queue_capacity: int = 8
     #: Sliding-window size per client (protocol v2.2 selective repeat);
     #: 1 = classic stop-and-wait.
     window: int = 1
@@ -94,10 +94,10 @@ class FleetSpec:
             raise ValueError(f"window must be >= 1, got {self.window}")
         if self.latency_s < 0:
             raise ValueError(f"latency_s must be >= 0, got {self.latency_s}")
-        if self.frames_per_client > self.index_stride:
+        if self.frames_per_client > INDEX_STRIDE:
             raise ValueError(
                 f"frames_per_client {self.frames_per_client} overflows the "
-                f"index stride {self.index_stride}"
+                f"index stride {INDEX_STRIDE}"
             )
         object.__setattr__(
             self, "force_disconnect_local", frozenset(self.force_disconnect_local)
@@ -105,7 +105,7 @@ class FleetSpec:
 
     def global_index(self, client_id: int, local_index: int) -> int:
         """The fleet-wide frame index of one client's local frame number."""
-        return client_id * self.index_stride + local_index
+        return client_id * INDEX_STRIDE + local_index
 
     def client_indices(self, client_id: int) -> list[int]:
         """All global indices client ``client_id`` will send, in order."""
@@ -383,7 +383,6 @@ def run_fleet(
                 ack_timeout=spec.ack_timeout,
                 backoff_base=spec.backoff_base,
                 max_retries=spec.max_retries,
-                queue_capacity=spec.queue_capacity,
                 retry_seed=cid,
                 window=spec.window,
             ) as client:

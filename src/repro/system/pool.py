@@ -1,21 +1,19 @@
-"""Shared process-pool machinery: sticky routing and zero-copy transfer.
+"""The decode tier's process pool: per-slot FIFO workers, zero-copy transfer.
 
-Two subsystems fan CPU-bound codec work out to worker processes: the
-client-side :class:`~repro.system.parallel.ParallelFrameCompressor`
-(independent frames, any worker will do) and the server-side decode
-offload tier (stateful per-stream :class:`~repro.core.temporal.
-TemporalDecoder`\\ s, where a stream's frames *must* hit the same worker
-in arrival order).  This module holds the machinery they share:
+The server's decode offload tier fans ``decompress``-mode decoding out
+to worker processes.  Its decoders are stateful per decode chain (a
+keyframe and the v3 delta frames after it), so a chain's frames *must*
+reach one worker in arrival order.  This module holds the machinery:
 
-- :class:`StickyWorkerPool` — N single-worker executors ("slots") with
-  first-seen sticky key routing.  Because each slot is its own
-  one-process executor, routing a stream's frames to its slot makes the
-  slot queue a per-stream FIFO: frames submitted in arrival order are
-  decoded in arrival order, with no global decode lock and no
-  cross-stream head-of-line blocking.  Keyless submissions round-robin
-  across slots (the compressor's case).  A ``max_in_flight`` window
-  bounds the work queue; :meth:`StickyWorkerPool.depth` exposes its
-  depth for backpressure.
+- :class:`StickyWorkerPool` — N single-worker executors ("slots").
+  Because each slot is its own one-process executor, its queue is a
+  FIFO: frames submitted to one slot in arrival order decode in arrival
+  order, with no global decode lock and no head-of-line blocking across
+  slots.  The caller names the slot: :meth:`StickyWorkerPool.next_slot`
+  hands slots out in turn to new keys, and the server keeps the slot a
+  chain got for that chain's frames, so the pool holds no per-key state.
+  At most :data:`IN_FLIGHT_PER_WORKER` futures per worker are unfinished
+  at once; :meth:`StickyWorkerPool.depth` exposes the queue depth.
 - :func:`pack_array` / :func:`unpack_array` — pickle protocol-5
   out-of-band buffer transfer (PEP 574) for numpy arrays.  The worker
   ships the array's data buffer as raw bytes next to a tiny pickle
@@ -26,23 +24,25 @@ in arrival order).  This module holds the machinery they share:
   own its data.
 
 Worker state follows the module-level pattern: the executor's
-``initializer`` seeds module globals in the worker process (e.g. a
-compressor instance, or a dict of per-stream decoders) and the submitted
-function reads them — nothing stateful crosses the pickle boundary per
-call.
+``initializer`` seeds module globals in the worker process (the decode
+tier's dict of per-stream decoders) and the submitted function reads
+them — nothing stateful crosses the pickle boundary per call.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
-from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
-from typing import Any, Callable, Hashable, Iterable, Iterator
+from typing import Any, Callable
 
 import numpy as np
 
 __all__ = ["StickyWorkerPool", "pack_array", "unpack_array"]
+
+#: Unfinished futures allowed per worker: :meth:`StickyWorkerPool.submit`
+#: blocks once ``IN_FLIGHT_PER_WORKER * workers`` are in flight.
+IN_FLIGHT_PER_WORKER = 4
 
 
 def pack_array(arr: np.ndarray) -> tuple[bytes, list[bytes]]:
@@ -69,148 +69,72 @@ def unpack_array(meta: bytes, buffers: list[bytes]) -> np.ndarray:
 
 
 class StickyWorkerPool:
-    """A process pool with per-key worker affinity.
+    """A process pool whose callers pin work to a worker.
 
     Parameters
     ----------
     workers:
         Number of worker processes.  Each is wrapped in its own
         single-worker :class:`~concurrent.futures.ProcessPoolExecutor`
-        so a key's submissions form a FIFO on its slot.
-    initializer, initargs:
+        so the submissions to one slot run in FIFO order.
+    initializer:
         Forwarded to every slot's executor: run once in each worker
         process to seed module-level state.
-    max_in_flight:
-        Bound on submitted-but-unfinished futures across all slots.
-        :meth:`submit` blocks when the window is full — the bounded work
-        queue that feeds backpressure.  ``None`` (default) disables the
-        bound.
     """
 
     def __init__(
-        self,
-        workers: int,
-        initializer: Callable[..., None] | None = None,
-        initargs: tuple = (),
-        max_in_flight: int | None = None,
+        self, workers: int, initializer: Callable[[], None] | None = None
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.workers = int(workers)
         self._executors = [
-            ProcessPoolExecutor(
-                max_workers=1, initializer=initializer, initargs=initargs
-            )
+            ProcessPoolExecutor(max_workers=1, initializer=initializer)
             for _ in range(self.workers)
         ]
         self._lock = threading.Lock()
-        #: First-seen sticky slot per key.
-        self._slots: dict[Hashable, int] = {}
-        #: Keys pinned per slot — the balance metric for new keys.
-        self._keys_per_slot = [0] * self.workers
+        #: The slot :meth:`next_slot` hands out next.
+        self._next_slot = 0
         #: Lifetime submissions per slot (utilization counters).
         self._submitted_per_slot = [0] * self.workers
         self._in_flight = 0
-        self._window = (
-            threading.Semaphore(max_in_flight) if max_in_flight is not None else None
-        )
-        self._round_robin = 0
+        self._window = threading.Semaphore(IN_FLIGHT_PER_WORKER * self.workers)
         self._closed = False
 
     # -- routing -------------------------------------------------------
 
-    def slot_for(self, key: Hashable) -> int:
-        """The slot owning ``key`` (assigned to the least-loaded on first sight)."""
+    def next_slot(self) -> int:
+        """The slot for a new key: 0, 1, ..., ``workers - 1``, then 0 again."""
         with self._lock:
-            slot = self._slots.get(key)
-            if slot is None:
-                slot = min(
-                    range(self.workers), key=self._keys_per_slot.__getitem__
-                )
-                self._slots[key] = slot
-                self._keys_per_slot[slot] += 1
-            return slot
+            slot = self._next_slot
+            self._next_slot = (slot + 1) % self.workers
+        return slot
 
-    def submit(self, fn: Callable, *args: Any, key: Hashable | None = None) -> Future:
-        """Run ``fn(*args)`` on a worker; same ``key`` → same worker, FIFO.
+    def submit(self, slot: int, fn: Callable, *args: Any) -> Future:
+        """Run ``fn(*args)`` on worker ``slot``, after its earlier submissions.
 
-        Keyless submissions round-robin across slots.  Blocks while
-        ``max_in_flight`` futures are unfinished.
+        Blocks while ``IN_FLIGHT_PER_WORKER * workers`` futures are
+        unfinished.
         """
-        if key is not None:
-            slot = self.slot_for(key)
-        else:
-            with self._lock:
-                slot = self._round_robin % self.workers
-                self._round_robin += 1
-        if self._window is not None:
-            self._window.acquire()
+        self._window.acquire()
         with self._lock:
             if self._closed:
-                if self._window is not None:
-                    self._window.release()
+                self._window.release()
                 raise RuntimeError("pool is shut down")
             self._in_flight += 1
             self._submitted_per_slot[slot] += 1
         try:
             future = self._executors[slot].submit(fn, *args)
         except BaseException:
-            with self._lock:
-                self._in_flight -= 1
-            if self._window is not None:
-                self._window.release()
+            self._on_done(None)
             raise
         future.add_done_callback(self._on_done)
         return future
 
-    def _on_done(self, _future: Future) -> None:
+    def _on_done(self, _future: Future | None) -> None:
         with self._lock:
             self._in_flight -= 1
-        if self._window is not None:
-            self._window.release()
-
-    def map_stream(
-        self,
-        fn: Callable,
-        argss: Iterable[tuple],
-        window: int | None = None,
-        key: Hashable | None = None,
-    ) -> Iterator[Any]:
-        """Yield ``fn(*args)`` results in input order, ``window`` in flight.
-
-        Pulls ``argss`` lazily: at most ``window`` (default ``2 *
-        workers``) items are submitted ahead of what has been yielded, so
-        an unbounded source streams in constant memory.  If the consumer
-        stops early — ``close()`` on the generator, or an exception —
-        every still-pending future is cancelled so workers stop grinding
-        on results nobody will read.
-        """
-        window = 2 * self.workers if window is None else max(1, int(window))
-        source = iter(argss)
-        pending: deque[Future] = deque()
-
-        def submit_next() -> bool:
-            try:
-                args = next(source)
-            except StopIteration:
-                return False
-            pending.append(self.submit(fn, *args, key=key))
-            return True
-
-        try:
-            while len(pending) < window and submit_next():
-                pass
-            while pending:
-                result = pending.popleft().result()
-                submit_next()
-                yield result
-        finally:
-            # Reached on GeneratorExit (dropped iterator) and consumer
-            # errors alike; a normally-exhausted stream has nothing left.
-            for future in pending:
-                future.cancel()
+        self._window.release()
 
     # -- introspection -------------------------------------------------
 

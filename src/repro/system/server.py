@@ -87,6 +87,17 @@ __all__ = [
 #: Smoothing factor of the store-write latency EWMA behind busy hints.
 _STORE_EWMA_ALPHA = 0.2
 
+#: Quarantine entries kept: past this the oldest is evicted (counted in
+#: ``server.quarantine.evicted``), so a client spraying garbage cannot
+#: grow server memory without bound.
+MAX_QUARANTINE = 256
+
+#: Receipts kept, server-wide and per stream: past this the oldest is
+#: evicted (counted in ``server.receipts.evicted``), so a long-lived
+#: server's receipt memory stays flat.  Far above any one batch a client
+#: reconciles with ``merge_receipts``.
+MAX_RECEIPTS = 4096
+
 #: Per-stream cap used when a client's HELLO advertised no window (a
 #: pre-v2.2 client, or no HELLO at all): above this many frames handed to
 #: the drainer but not yet settled, the stream's ACKs carry the BUSY hint.
@@ -116,15 +127,16 @@ class RemoteDecodeError(ValueError):
 # A *decode chain* is one keyframe and the delta frames that follow it —
 # the temporal context resets at every keyframe, so chains are
 # self-contained — and decodes on one stateful TemporalDecoder in
-# arrival order.  With a decode pool, sticky routing (StickyWorkerPool)
-# keys work by ``(stream_id, chain_no)``, and each worker process keeps
-# its chains' decoders in ``_WORKER_DECODERS`` (seeded by the pool
-# initializer): within a chain, frames land on one worker in arrival
-# order (the delta-ordering contract), while *different* chains of the
-# same stream spread least-loaded across workers — which is what lets a
-# single stream's decode throughput scale with ``decode_workers`` once
-# the client pipelines (window > 1).  An inline decode runs the same
-# function on the handler thread against its server's own decoder map.
+# arrival order.  With a decode pool, every new chain takes the pool's
+# next slot in turn and its stream's StreamState keeps that slot for the
+# chain's frames; each worker process keeps its chains' decoders in
+# ``_WORKER_DECODERS`` (seeded by the pool initializer).  Within a
+# chain, frames land on one worker in arrival order (the delta-ordering
+# contract), while *successive* chains take the workers in turn — which
+# is what lets a single stream's decode throughput scale with
+# ``decode_workers`` once the client pipelines (window > 1).  An inline
+# decode runs the same function on the handler thread against its
+# server's own decoder map.
 
 _WORKER_DECODERS: dict[int | str, tuple[int, TemporalDecoder]] = {}
 
@@ -238,18 +250,19 @@ class StreamState:
         "decode_lock",
         "window",
         "chain_no",
+        "slot",
         "pending",
     )
 
-    def __init__(self, stream_id: int | str, max_receipts: int | None = None) -> None:
+    def __init__(self, stream_id: int | str) -> None:
         self.stream_id = stream_id
         #: Frame indices stored (or reserved mid-store) — the dedupe set.
         self.seen: set[int] = set()
         #: ACKs issued per index; feeds the fault channel's drop plan.
         self.ack_counts: dict[int, int] = {}
         #: This stream's slice of the server-wide receipts (oldest evicted
-        #: past ``max_receipts``).
-        self.receipts: deque[tuple[int, int, float, float]] = deque(maxlen=max_receipts)
+        #: past ``MAX_RECEIPTS``).
+        self.receipts: deque[tuple[int, int, float, float]] = deque(maxlen=MAX_RECEIPTS)
         #: True once the stream's END record arrived.
         self.ended = False
         #: Sliding window the client advertised in HELLO flags (v2.2);
@@ -260,6 +273,9 @@ class StreamState:
         #: server starts blank, so delta frames are quarantined until the
         #: stream's next keyframe starts a chain.
         self.chain_no = -1
+        #: Decode-pool slot of the current chain, taken when the chain
+        #: starts: the stream's whole routing state.
+        self.slot = 0
         #: Frames handed to a drainer but not yet settled (feeds the
         #: per-stream BUSY congestion hint).
         self.pending = 0
@@ -303,40 +319,30 @@ class DbgcServer:
         long-lived server's journal from growing without bound.
     busy_threshold_s:
         Backpressure trigger: when the store-write latency EWMA exceeds
-        this many seconds (or ``busy_depth`` writes are in flight), ACKs
-        carry the protocol-v2 BUSY hint and clients slow down / coarsen.
-        ``None`` (default) disables busy hints.
-    busy_depth:
-        Optional in-flight store-write count that also trips the BUSY
-        hint (only consulted when ``busy_threshold_s`` is set).
-    max_quarantine:
-        Bound on the quarantine list: when full, the oldest entry is
-        evicted (counted in :attr:`quarantine_evicted` and the
-        ``server.quarantine.evicted`` counter) so a hostile client
-        cannot grow server memory without bound.
-    max_receipts:
-        Bound on :attr:`receipts` (and each stream's receipt slice),
-        mirroring ``max_quarantine``: when full, the oldest receipt is
-        evicted (counted in :attr:`receipts_evicted` and the
-        ``server.receipts.evicted`` counter) so a long-lived server's
-        receipt memory stays flat.  ``None`` disables the bound; the
-        default (4096) is far above any one batch a client reconciles
-        with ``merge_receipts``.
+        this many seconds, ACKs carry the protocol-v2 BUSY hint and
+        clients slow down / coarsen.  ``None`` (default) disables this
+        trigger; a stream holding more unsettled frames than its window
+        trips the hint regardless.
     decode_workers:
         Where ``decompress`` mode decodes (rejected in ``store`` mode).
         0 (default) decodes on the handler thread.  N >= 1 fans decoding
         out to N decoder worker *processes* behind a
-        :class:`~repro.system.pool.StickyWorkerPool`, keyed by decode
+        :class:`~repro.system.pool.StickyWorkerPool`, routed by decode
         chain — a keyframe and its following deltas pin to one worker's
         stateful :class:`~repro.core.temporal.TemporalDecoder` in
-        arrival order, while successive chains spread least-loaded
-        across workers.  Only where the decode runs changes: either way
+        arrival order, while successive chains take the workers in
+        turn.  Only where the decode runs changes: either way
         the handler thread validates and reserves each frame as it
         arrives and the connection's completion drainer commits,
         journals and ACKs in arrival order (see the module docstring),
         so every ordering contract (ACK after commit, journal between
         commit and ACK, quarantine with the ``seen`` reservation
         released) holds and store contents are byte-identical.
+
+    :attr:`receipts` and :attr:`quarantine` keep the newest
+    :data:`MAX_RECEIPTS` and :data:`MAX_QUARANTINE` entries; evictions
+    are counted in :attr:`receipts_evicted` and
+    :attr:`quarantine_evicted`.
 
     Thread-safety: handler threads append to :attr:`receipts`,
     :attr:`quarantine`, and :attr:`events` while the driver may read
@@ -354,9 +360,6 @@ class DbgcServer:
         max_clients: int = 8,
         receipt_journal: ReceiptJournal | str | Path | None = None,
         busy_threshold_s: float | None = None,
-        busy_depth: int | None = None,
-        max_quarantine: int = 256,
-        max_receipts: int | None = 4096,
         decode_workers: int = 0,
         journal_rotate_bytes: int | None = None,
     ) -> None:
@@ -364,10 +367,6 @@ class DbgcServer:
             raise ValueError(f"unknown server mode {mode!r}")
         if max_clients < 1:
             raise ValueError(f"max_clients must be >= 1, got {max_clients}")
-        if max_quarantine < 1:
-            raise ValueError(f"max_quarantine must be >= 1, got {max_quarantine}")
-        if max_receipts is not None and max_receipts < 1:
-            raise ValueError(f"max_receipts must be >= 1, got {max_receipts}")
         if decode_workers < 0:
             raise ValueError(f"decode_workers must be >= 0, got {decode_workers}")
         if decode_workers and mode != "decompress":
@@ -377,23 +376,7 @@ class DbgcServer:
         self.channel = channel
         self.max_clients = int(max_clients)
         self.busy_threshold_s = busy_threshold_s
-        self.busy_depth = busy_depth
-        self.max_quarantine = int(max_quarantine)
-        self.max_receipts = None if max_receipts is None else int(max_receipts)
         self.decode_workers = int(decode_workers)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._listener.bind((host, port))
-            self._listener.listen(32)
-            # Accept with a short timeout: on Linux, close()ing a listener
-            # does not unblock a thread already parked in accept(), so the
-            # loop must poll the stop flag to shut down promptly.
-            self._listener.settimeout(0.1)
-            self._address: tuple[str, int] = self._listener.getsockname()
-        except BaseException:
-            self._listener.close()
-            raise
         self._thread: threading.Thread | None = None
         self._error: BaseException | None = None
         self._stop = threading.Event()
@@ -409,22 +392,20 @@ class DbgcServer:
         self._peak_active = 0
         self._ends_seen = 0
         self._closed = False
-        #: Store-write latency EWMA and in-flight write count feeding the
-        #: BUSY backpressure hint.
+        #: Store-write latency EWMA feeding the BUSY backpressure hint.
         self._store_ewma_s = 0.0
-        self._writes_in_flight = 0
         #: BUSY hints piggybacked on ACKs so far.
         self.busy_hints = 0
-        #: Quarantine entries evicted by the ``max_quarantine`` bound.
+        #: Quarantine entries evicted by the ``MAX_QUARANTINE`` bound.
         self.quarantine_evicted = 0
-        #: Receipts evicted by the ``max_receipts`` bound.
+        #: Receipts evicted by the ``MAX_RECEIPTS`` bound.
         self.receipts_evicted = 0
         #: (frame_index, payload_bytes, received_at, stored_at) per stored
-        #: frame (bounded by ``max_receipts``, oldest evicted first).
-        self.receipts: deque[tuple[int, int, float, float]] = deque(maxlen=self.max_receipts)
+        #: frame (bounded by ``MAX_RECEIPTS``, oldest evicted first).
+        self.receipts: deque[tuple[int, int, float, float]] = deque(maxlen=MAX_RECEIPTS)
         #: Payloads rejected with their exception text and bytes (bounded
-        #: by ``max_quarantine``, oldest evicted first).
-        self.quarantine: deque[QuarantinedFrame] = deque(maxlen=self.max_quarantine)
+        #: by ``MAX_QUARANTINE``, oldest evicted first).
+        self.quarantine: deque[QuarantinedFrame] = deque(maxlen=MAX_QUARANTINE)
         #: Connection-level happenings: ("accept"|"hello"|"disconnect"|
         #: "duplicate"|"resync"|"end"|"recover", detail) in serve order.
         self.events: list[tuple[str, str]] = []
@@ -433,28 +414,41 @@ class DbgcServer:
         #: Durable receipt journal (None = in-memory state only).
         self.journal: ReceiptJournal | None = None
         self._journal_owned = False
-        if receipt_journal is not None:
-            if isinstance(receipt_journal, (str, Path)):
-                # Batched appends keep the journal's write(2) off the ACK
-                # hot path (one syscall per 16 receipts).  The widened
-                # kill-loss window is safe here — see _commit.
-                self.journal = ReceiptJournal(
-                    receipt_journal, batch=16, rotate_bytes=journal_rotate_bytes
-                )
-                self._journal_owned = True
-            else:
-                self.journal = receipt_journal
-            self._recover_streams()
-        #: Decode offload tier: one sticky slot per decoder worker; None
-        #: in store mode or with decode_workers=0 (inline decode).  The
-        #: in-flight window bounds the decode work queue; its depth
-        #: feeds the BUSY hint alongside the store-latency EWMA.
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self._listener.bind((host, port))
+            self._listener.listen(32)
+            # Accept with a short timeout: on Linux, close()ing a listener
+            # does not unblock a thread already parked in accept(), so the
+            # loop must poll the stop flag to shut down promptly.
+            self._listener.settimeout(0.1)
+            self._address: tuple[str, int] = self._listener.getsockname()
+            if receipt_journal is not None:
+                if isinstance(receipt_journal, (str, Path)):
+                    # Batched appends keep the journal's write(2) off the
+                    # ACK hot path (one syscall per 16 receipts).  The
+                    # widened kill-loss window is safe here — see _commit.
+                    self.journal = ReceiptJournal(
+                        receipt_journal, batch=16, rotate_bytes=journal_rotate_bytes
+                    )
+                    self._journal_owned = True
+                else:
+                    self.journal = receipt_journal
+                self._recover_streams()
+        except BaseException:
+            # A failed constructor leaves no port bound and no journal of
+            # its own open, so a retry on the same port can bind at once.
+            self._listener.close()
+            if self._journal_owned:
+                self.journal.close()
+            raise
+        #: Decode offload tier: one slot per decoder worker; None in store
+        #: mode or with decode_workers=0 (inline decode).
         self._decode_pool: StickyWorkerPool | None = None
         if self.mode == "decompress" and self.decode_workers > 0:
             self._decode_pool = StickyWorkerPool(
-                self.decode_workers,
-                initializer=_init_decode_worker,
-                max_in_flight=4 * self.decode_workers,
+                self.decode_workers, initializer=_init_decode_worker
             )
         #: Decode-chain state of inline decode (decode_workers=0), keyed
         #: by stream: owned by this server, so two servers in one process
@@ -592,7 +586,7 @@ class DbgcServer:
         with self.lock:
             state = self._streams.get(stream_id)
             if state is None:
-                state = self._streams[stream_id] = StreamState(stream_id, self.max_receipts)
+                state = self._streams[stream_id] = StreamState(stream_id)
         return state
 
     def stream_state(self, stream_id: int | str) -> StreamState | None:
@@ -720,7 +714,8 @@ class DbgcServer:
         v3) stay on the current one.  A payload that doesn't sniff as any
         container stays on the current chain too: it will fail decode
         *there*, leaving that chain's decoder state as it was.  With a
-        decode pool the chain is the routing key — one pipelining client
+        decode pool a new chain takes the pool's next slot, which the
+        stream keeps for the chain's frames — one pipelining client
         saturates many workers without ever decoding a delta out of
         order; with ``decode_workers=0`` the handler thread decodes the
         frame itself.
@@ -741,10 +736,10 @@ class DbgcServer:
         if self.mode == "store":
             future = _resolved(None)
         else:
-            # Under the stream's decode lock: the sticky slot's queue is
-            # FIFO, so "submitted in arrival order" becomes "decoded in
-            # arrival order" even when a reconnect races the old
-            # connection's handler.
+            # Under the stream's decode lock: a slot's queue is FIFO, so
+            # "submitted in arrival order" becomes "decoded in arrival
+            # order" even when a reconnect races the old connection's
+            # handler.
             with stream.decode_lock:
                 try:
                     delta = container_version(payload) == 3
@@ -753,16 +748,19 @@ class DbgcServer:
                 fresh = (not delta) or stream.chain_no < 0
                 if fresh:
                     stream.chain_no += 1
+                    if pool is not None:
+                        stream.slot = pool.next_slot()
                 chain = (stream.stream_id, stream.chain_no)
+                slot = stream.slot
                 submitted_at = time.perf_counter()
                 if pool is None:
                     future = _resolved(_decode_frame(*chain, fresh, payload, self._decoders))
                 else:
                     depth = pool.depth()
-                    future = pool.submit(_decode_frame, *chain, fresh, payload, key=chain)
+                    future = pool.submit(slot, _decode_frame, *chain, fresh, payload)
             if pool is not None:
                 _obs.observe("server.decode.queue_depth", depth)
-                _obs.count(f"server.decode.worker.{pool.slot_for(chain)}")
+                _obs.count(f"server.decode.worker.{slot}")
         with self.lock:
             stream.pending += 1
         pipeline.put(
@@ -779,7 +777,7 @@ class DbgcServer:
 
         Runs on its own thread; consumes :class:`_PendingFrame` entries
         in arrival order (per chain that equals decode-completion order —
-        the sticky slots are FIFO) until the ``None`` sentinel.  An
+        the pool's slots are FIFO) until the ``None`` sentinel.  An
         exception escaping a commit (a failing journal, a broken decode
         pool) is fatal to the connection: it is recorded for
         :meth:`wait_for_streams`, and that frame and every frame queued
@@ -869,8 +867,6 @@ class DbgcServer:
 
     def _write(self, frame_index: int, payload: bytes, cloud: PointCloud | None) -> None:
         """One store write (the cloud, else the payload), timed for the BUSY hint."""
-        with self.lock:
-            self._writes_in_flight += 1
         write_started = time.perf_counter()
         try:
             if cloud is not None:
@@ -880,7 +876,6 @@ class DbgcServer:
         finally:
             elapsed = time.perf_counter() - write_started
             with self.lock:
-                self._writes_in_flight -= 1
                 self._store_ewma_s = (
                     elapsed
                     if self._store_ewma_s == 0.0
@@ -900,7 +895,7 @@ class DbgcServer:
         with self.lock:
             # Bounded forensics: a hostile client spraying garbage cannot
             # grow server memory without limit (the deque drops the oldest).
-            evicted = len(self.quarantine) == self.max_quarantine
+            evicted = len(self.quarantine) == self.quarantine.maxlen
             self.quarantine.append(
                 QuarantinedFrame(
                     frame_index, payload, repr(exc), received_at, stream.stream_id
@@ -917,36 +912,19 @@ class DbgcServer:
             return channel
         return channel.get(stream_id)
 
-    def _busy_now(self, stream: StreamState | None = None) -> bool:
+    def _busy_now(self, stream: StreamState) -> bool:
         """Is the server falling behind?  (Feeds the ACK BUSY hint.)
 
         Trips when ``stream`` holds more frames handed to its drainer but
         not yet settled than its advertised window — the per-stream
-        congestion signal the client's AIMD halves on — independent of
-        ``busy_threshold_s``.  With ``busy_threshold_s`` set it also
-        trips on the store-latency EWMA, on ``busy_depth`` store writes
-        in flight, or — with a decode pool — on ``busy_depth`` frames
-        deep in the decode work queue.
+        congestion signal the client's AIMD halves on — and, with
+        ``busy_threshold_s`` set, when the store-latency EWMA exceeds it.
         """
-        if stream is not None:
-            cap = stream.window or _DEFAULT_STREAM_INFLIGHT
-            with self.lock:
-                if stream.pending > cap:
-                    return True
-        if self.busy_threshold_s is None:
-            return False
-        if (
-            self.busy_depth is not None
-            and self._decode_pool is not None
-            and self._decode_pool.depth() > self.busy_depth
-        ):
-            return True
+        cap = stream.window or _DEFAULT_STREAM_INFLIGHT
         with self.lock:
-            if self._store_ewma_s > self.busy_threshold_s:
-                return True
-            return (
-                self.busy_depth is not None
-                and self._writes_in_flight > self.busy_depth
+            return stream.pending > cap or (
+                self.busy_threshold_s is not None
+                and self._store_ewma_s > self.busy_threshold_s
             )
 
     def _ack(

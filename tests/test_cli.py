@@ -1,8 +1,14 @@
 """Tests for the dbgc command-line interface."""
 
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.datasets import load_kitti_bin, load_npz
 
 
@@ -131,3 +137,118 @@ class TestSequenceCommand:
                      "--frames", "2", "--sensor-scale", "0.15"]) == 0
         out = capsys.readouterr().out
         assert "(delta)" not in out
+
+
+class TestServeAndFleet:
+    def test_serve_stores_one_stream_then_exits(self, tmp_path):
+        from repro.system import DbgcClient
+
+        shards = tmp_path / "shards"
+        journal = tmp_path / "receipts.jsonl"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--shards", "2",
+             "--store", str(shards), "--receipt-journal", str(journal),
+             "--exit-after-streams", "1", "--timeout", "60"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            banner = server.stdout.readline()
+            match = re.search(r"listening on ([\d.]+):(\d+)", banner)
+            assert match, banner + server.stderr.read()
+            with DbgcClient((match[1], int(match[2])), stream_id=7) as client:
+                for index in range(3):
+                    client.send_payload(index, b"frame %d" % index)
+            out, err = server.communicate(timeout=60)
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.communicate()
+        assert server.returncode == 0, err
+        assert (
+            "served 1 connection(s), 1 stream(s) ended, 3 frame(s) stored, "
+            "0 quarantined" in out
+        )
+        assert sorted(p.name for p in shards.glob("shard_*.sqlite")) == [
+            "shard_0.sqlite", "shard_1.sqlite",
+        ]
+        assert journal.stat().st_size > 0
+
+    def test_fleet_two_clients(self, capsys):
+        assert main(["fleet", "--clients", "2", "--frames", "3"]) == 0
+        assert "aggregate: 6 stored" in capsys.readouterr().out
+
+
+#: ``vars(build_parser().parse_args([command]))`` without ``func``, as the
+#: parser gave it before the flags these commands share were declared in
+#: one place.  Equal values must also be of equal types (8.2, not 8).
+PARSED_DEFAULTS = {
+    "stream": {
+        "ack_drop_rate": 0.0, "ack_timeout": 10.0, "bandwidth": 8.2,
+        "command": "stream", "corrupt_rate": 0.0,
+        "disconnect_frames": frozenset(), "disconnect_rate": 0.0,
+        "fault_seed": 0, "frames": 5, "jitter": 0.0, "metrics": "",
+        "mode": "decompress", "policy": "block", "q": 0.02,
+        "queue_capacity": 8, "scene": "kitti-city", "seed": 0,
+        "sensor_scale": 0.5, "store": "", "window": 1,
+    },
+    "serve": {
+        "busy_threshold": 0.0, "command": "serve", "decode_workers": 0,
+        "exit_after_streams": 0, "host": "127.0.0.1",
+        "journal_rotate_bytes": 0, "max_clients": 8, "mode": "store",
+        "port": 0, "receipt_journal": "", "replication": 1, "shards": 1,
+        "store": "", "timeout": 300.0,
+    },
+    "fleet": {
+        "ack_drop_rate": 0.0, "ack_timeout": 2.0, "bandwidth": 0.0,
+        "clients": 4, "command": "fleet", "corrupt_rate": 0.0,
+        "decode_workers": 0, "disconnect_frames": frozenset(), "frames": 25,
+        "kill_after": 0, "latency": 0.0, "max_clients": None,
+        "mode": "store", "receipt_journal": "", "replication": 1, "seed": 0,
+        "sensor_scale": 0.5, "shards": 2, "temporal": False, "window": 1,
+    },
+}
+
+#: One command-line value per shared flag, and what it must parse to.
+SHARED_FLAG_VALUES = {
+    "--corrupt-rate": ("0.5", 0.5),
+    "--ack-drop-rate": ("0.25", 0.25),
+    "--disconnect-frames": ("1,3", frozenset({1, 3})),
+    "--bandwidth": ("3", 3.0),
+    "--ack-timeout": ("1", 1.0),
+    "--window": ("4", 4),
+    "--mode": ("decompress", "decompress"),
+    "--shards": ("3", 3),
+    "--max-clients": ("2", 2),
+    "--replication": ("2", 2),
+    "--receipt-journal": ("j.jsonl", "j.jsonl"),
+    "--decode-workers": ("2", 2),
+}
+
+
+def _typed(values: dict) -> dict:
+    return {key: (type(value), value) for key, value in values.items()}
+
+
+class TestFlagPins:
+    @pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+    def test_defaults(self, command):
+        parsed = vars(build_parser().parse_args([command]))
+        assert parsed.pop("func").__name__ == f"_cmd_{command}"
+        assert _typed(parsed) == _typed(PARSED_DEFAULTS[command])
+
+    @pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+    def test_shared_flags_parse_alike(self, command):
+        flags = [
+            flag for flag in SHARED_FLAG_VALUES
+            if flag[2:].replace("-", "_") in PARSED_DEFAULTS[command]
+        ]
+        argv = [command]
+        for flag in flags:
+            argv += [flag, SHARED_FLAG_VALUES[flag][0]]
+        parsed = vars(build_parser().parse_args(argv))
+        assert _typed({flag: parsed[flag[2:].replace("-", "_")] for flag in flags}) == (
+            _typed({flag: SHARED_FLAG_VALUES[flag][1] for flag in flags})
+        )

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import os
 import socket
-import time
 
 import pytest
 
 from repro import observability as obs
+from repro.system import server as server_module
 from repro.system import (
     DbgcServer,
     FleetSpec,
@@ -143,6 +143,54 @@ def test_ordered_delta_decode_under_sticky_routing(temporal_payloads):
             assert cloud_contents(again) == cloud_contents(oracle_store)
 
 
+# -- bounded routing state ---------------------------------------------------
+
+#: Two streams of five keyframe chains each: ten chains over two workers.
+ROUTING_SPEC = FleetSpec(n_clients=2, frames_per_client=10, seed=5)
+
+
+def test_routing_state_stays_bounded():
+    """Chains take the decode workers in turn, and the pool keeps no entry
+    per chain: a long-running server's routing state is one slot per
+    stream, however many keyframes its streams send."""
+    payloads = compressed_fleet_payloads(
+        ROUTING_SPEC, sensor_scale=0.2, temporal=True,
+        keyframe_interval=KEYFRAME_INTERVAL,
+    )
+    chains_per_stream = ROUTING_SPEC.frames_per_client // KEYFRAME_INTERVAL
+    assert ROUTING_SPEC.n_clients * chains_per_stream >= 10
+    with SqliteFrameStore() as oracle_store:
+        run_fleet(
+            ROUTING_SPEC, oracle_store, mode="decompress", payloads=payloads,
+            concurrent=False,
+        )
+        oracle = cloud_contents(oracle_store)
+    with SqliteFrameStore() as store:
+        result = run_fleet(
+            ROUTING_SPEC, store, mode="decompress", decode_workers=2,
+            payloads=payloads,
+        )
+        assert result.n_quarantined == 0 and result.n_dropped == 0
+        assert cloud_contents(store) == oracle
+    pool = result.server._decode_pool
+    assert sum(pool.submitted_per_slot()) == result.n_stored == len(oracle)
+    # Ten two-frame chains in turn over two slots, whatever the
+    # interleaving of the two streams.
+    assert pool.submitted_per_slot() == [10, 10]
+    # Every container the pool holds is sized by its workers, not by the
+    # chains it has routed.
+    sizes = {
+        name: len(value)
+        for name, value in vars(pool).items()
+        if hasattr(value, "__len__")
+    }
+    assert max(sizes.values()) <= pool.workers, sizes
+    for cid in range(ROUTING_SPEC.n_clients):
+        stream = result.server.stream_state(cid)
+        assert stream.chain_no == chains_per_stream - 1
+        assert stream.slot in (0, 1)
+
+
 # -- quarantine from a worker process ----------------------------------------
 
 
@@ -178,42 +226,13 @@ def test_worker_decode_failure_quarantines_and_releases_seen(intra_payloads):
     assert offloaded_cloud == inline_cloud
 
 
-# -- backpressure from the decode queue --------------------------------------
-
-
-def test_busy_hint_trips_on_decode_queue_depth():
-    from tests.test_system_pool import _slow_echo
-
-    with SqliteFrameStore() as store:
-        # A huge EWMA threshold keeps store latency out of the picture:
-        # only the decode queue (busy_depth=0) can trip the hint.
-        server = DbgcServer(
-            store,
-            mode="decompress",
-            decode_workers=1,
-            busy_threshold_s=1000.0,
-            busy_depth=0,
-        ).start()
-        try:
-            assert not server._busy_now()  # empty queue: not busy
-            future = server._decode_pool.submit(_slow_echo, 1, 0.5)
-            assert server._decode_pool.depth() > 0
-            assert server._busy_now()  # queued decode work trips the hint
-            future.result()
-            deadline = time.monotonic() + 5.0
-            while server._decode_pool.depth() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not server._busy_now()
-        finally:
-            server.close()
-
-
 # -- receipt bound -----------------------------------------------------------
 
 
-def test_max_receipts_evicts_oldest():
+def test_max_receipts_evicts_oldest(monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_RECEIPTS", 5)
     with SqliteFrameStore() as store:
-        server = DbgcServer(store, mode="store", max_receipts=5).start()
+        server = DbgcServer(store, mode="store").start()
         with obs.recording() as recorder:
             with socket.create_connection(server.address) as sock:
                 sock.sendall(encode_record(TYPE_HELLO, 8))
@@ -233,8 +252,6 @@ def test_max_receipts_evicts_oldest():
         # every index, and all eight frames are in the store.
         assert stream.seen == set(range(8))
         assert len(store) == 8
-    with pytest.raises(ValueError, match="max_receipts"):
-        DbgcServer(SqliteFrameStore(), max_receipts=0)
 
 
 # -- observability -----------------------------------------------------------

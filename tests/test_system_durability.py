@@ -21,6 +21,8 @@ import threading
 import pytest
 
 from repro.geometry import PointCloud
+from repro.system import client as client_module
+from repro.system import server as server_module
 from repro.system import (
     DbgcClient,
     DbgcServer,
@@ -644,15 +646,14 @@ def test_busy_hint_rides_the_ack_status_nibble():
         assert server.busy_hints >= 2
 
 
-def test_client_records_and_obeys_busy_hints():
+def test_client_records_and_obeys_busy_hints(monkeypatch):
     from repro import observability as obs
 
+    monkeypatch.setattr(client_module, "BUSY_BACKOFF_S", 0.02)
     with SqliteFrameStore() as store:
         server = DbgcServer(store, mode="store", busy_threshold_s=0.0).start()
         with obs.recording() as recorder:
-            with DbgcClient(
-                server.address, stream_id=3, busy_backoff_s=0.02
-            ) as client:
+            with DbgcClient(server.address, stream_id=3) as client:
                 for i in range(5):
                     client.send_payload(i, bytes(50))
         server.close()
@@ -665,11 +666,12 @@ def test_client_records_and_obeys_busy_hints():
         assert len(store) == 5  # backpressure slows, never drops
 
 
-def test_quarantine_is_bounded_with_oldest_evicted():
+def test_quarantine_is_bounded_with_oldest_evicted(monkeypatch):
     from repro import observability as obs
 
+    monkeypatch.setattr(server_module, "MAX_QUARANTINE", 2)
     with SqliteFrameStore() as store:
-        server = DbgcServer(store, mode="decompress", max_quarantine=2).start()
+        server = DbgcServer(store, mode="decompress").start()
         with obs.recording() as recorder:
             with socket.create_connection(server.address) as sock:
                 sock.sendall(encode_record(TYPE_HELLO, 1))

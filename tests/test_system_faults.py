@@ -21,6 +21,7 @@ from repro.system import (
     FaultyChannel,
     SqliteFrameStore,
 )
+from repro.system import client as client_module
 from repro.system.client import _SendQueue
 from repro.system.protocol import (
     ACK_STORED,
@@ -335,7 +336,8 @@ class TestDegradation:
 
     def test_coarsen_policy_degrades_quality_not_delivery(self, tiny_cloud):
         # Payloads at q=0.02 need ~120 kbps at 10 fps; offer 50 kbps so
-        # supports() fails and the client recompresses at 4x the bound.
+        # supports() fails and the client recompresses at COARSEN_FACTOR
+        # (4x) the bound.
         sensor = SensorModel.benchmark_default()
         store = SqliteFrameStore()
         fine = DBGCCompressor(DBGCParams(), sensor=sensor).compress(tiny_cloud)
@@ -343,8 +345,7 @@ class TestDegradation:
             with DbgcClient(
                 server.address, sensor=sensor,
                 channel=BandwidthShaper(0.05),
-                overflow_policy="coarsen", coarsen_factor=4.0,
-                ack_timeout=10.0,
+                overflow_policy="coarsen", ack_timeout=10.0,
             ) as client:
                 trace = client.send_frame(0, tiny_cloud)
             server.join()
@@ -375,7 +376,8 @@ class TestDegradation:
 
 
 class TestLifecycle:
-    def test_client_connect_failure_is_clean(self):
+    def test_client_connect_failure_is_clean(self, monkeypatch):
+        monkeypatch.setattr(client_module, "CONNECT_TIMEOUT_S", 0.5)
         # Reserve a port with nothing listening on it.
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -383,11 +385,11 @@ class TestLifecycle:
         probe.close()
         before = threading.active_count()
         with pytest.raises(ConnectionError):
-            DbgcClient(("127.0.0.1", port), connect_retries=1,
-                       backoff_base=0.01, connect_timeout=0.5)
+            DbgcClient(("127.0.0.1", port), max_retries=1, backoff_base=0.01)
         assert threading.active_count() == before  # no sender thread leaked
 
-    def test_client_initial_connect_retries_until_server_up(self):
+    def test_client_initial_connect_retries_until_server_up(self, monkeypatch):
+        monkeypatch.setattr(client_module, "CONNECT_TIMEOUT_S", 0.5)
         probe = socket.socket()
         probe.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         probe.bind(("127.0.0.1", 0))
@@ -403,13 +405,28 @@ class TestLifecycle:
         thread = threading.Thread(target=late_start, daemon=True)
         thread.start()
         with DbgcClient(
-            ("127.0.0.1", port), connect_retries=8,
-            backoff_base=0.1, connect_timeout=0.5,
+            ("127.0.0.1", port), max_retries=8, backoff_base=0.1,
         ) as client:
             thread.join()
             client.send_payload(0, b"made it")
         holder["server"].join()
         assert store.get_payload(0) == b"made it"
+
+    def test_server_init_failure_releases_its_port(self, tmp_path):
+        probe = DbgcServer(SqliteFrameStore(), mode="store")
+        port = probe.address[1]
+        probe.close()
+        # A directory is no journal: the constructor fails after binding.
+        with pytest.raises(IsADirectoryError) as failed:
+            DbgcServer(
+                SqliteFrameStore(), mode="store", port=port, receipt_journal=tmp_path
+            )
+        # While that exception (and the half-built server its traceback
+        # holds) is alive, the port must already be free again.
+        assert failed.value is not None
+        server = DbgcServer(SqliteFrameStore(), mode="store", port=port)
+        assert server.address[1] == port
+        server.close()
 
     def test_context_managers_close_sockets(self):
         store = SqliteFrameStore()

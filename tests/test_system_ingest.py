@@ -42,6 +42,7 @@ from repro.system.protocol import (
     encode_record,
     read_record,
 )
+from repro.system import server as server_module
 from repro.system.server import _MAX_HANDOFF
 
 pytestmark = pytest.mark.timeout(300)
@@ -240,9 +241,10 @@ def test_inline_decode_chains_belong_to_their_server():
 # -- kill switch past the receipt bound --------------------------------------
 
 
-def test_kill_switch_counts_frames_past_max_receipts():
+def test_kill_switch_counts_frames_past_max_receipts(monkeypatch):
+    monkeypatch.setattr(server_module, "MAX_RECEIPTS", 2)
     with SqliteFrameStore() as store:
-        server = DbgcServer(store, mode="store", max_receipts=2).start()
+        server = DbgcServer(store, mode="store").start()
         switch = ServerKillSwitch(4).arm(server)
         try:
             with socket.create_connection(server.address, timeout=10.0) as sock:

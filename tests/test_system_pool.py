@@ -1,11 +1,10 @@
-"""The shared process-pool machinery: sticky routing, zero-copy transfer.
+"""The decode tier's process pool: slot routing, zero-copy transfer.
 
-:mod:`repro.system.pool` underlies both the client-side parallel
-compressor (keyless round-robin) and the server's decode offload tier
-(per-stream sticky affinity).  These tests pin the properties the decode
-tier's correctness hangs on: a key's submissions land on one worker in
-FIFO order, slots are assigned least-loaded-first, the in-flight window
-bounds the queue, and a numpy array crosses the process boundary through
+:mod:`repro.system.pool` underlies the server's decode offload tier.
+These tests pin the properties the decode tier's correctness hangs on:
+one slot's submissions land on one worker in FIFO order, new keys take
+the slots in turn, the in-flight window bounds the queue, and a numpy
+array crosses the process boundary through
 :func:`~repro.system.pool.pack_array` /
 :func:`~repro.system.pool.unpack_array` without a copy on arrival.
 """
@@ -20,6 +19,7 @@ import pytest
 
 from repro.geometry import PointCloud
 from repro.system import StickyWorkerPool, pack_array, unpack_array
+from repro.system import pool as pool_module
 
 pytestmark = pytest.mark.timeout(180)
 
@@ -83,26 +83,26 @@ def test_adopted_cloud_survives_pool_roundtrip():
     assert len(cloud) == 50
 
 
-# -- sticky routing ----------------------------------------------------------
+# -- slot routing ------------------------------------------------------------
 
 
-def test_sticky_keys_balance_least_loaded_first():
+def test_new_keys_take_slots_in_turn():
+    with StickyWorkerPool(3) as pool:
+        assert [pool.next_slot() for _ in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+        # Handing out a slot submits nothing and keeps no per-key entry.
+        assert pool.submitted_per_slot() == [0, 0, 0]
+
+
+def test_same_slot_same_worker_in_fifo_order():
     with StickyWorkerPool(2) as pool:
-        slots = [pool.slot_for(f"stream-{k}") for k in range(4)]
-        # First-seen assignment spreads keys evenly over the two slots...
-        assert sorted(slots) == [0, 0, 1, 1]
-        # ...and is stable on every later lookup.
-        assert [pool.slot_for(f"stream-{k}") for k in range(4)] == slots
-
-
-def test_same_key_same_worker_in_fifo_order():
-    with StickyWorkerPool(2) as pool:
+        slots = {f"s{k}": pool.next_slot() for k in range(3)}
         futures = [
-            pool.submit(_echo, f"s{k}", i, key=f"s{k}")
+            pool.submit(slots[f"s{k}"], _echo, f"s{k}", i)
             for i in range(8)
             for k in range(3)
         ]
         results = [f.result() for f in futures]
+        assert pool.submitted_per_slot() == [16, 8]
     by_key: dict[str, list[tuple[int, int]]] = {}
     for key, seq, pid in results:
         by_key.setdefault(key, []).append((seq, pid))
@@ -114,19 +114,12 @@ def test_same_key_same_worker_in_fifo_order():
     assert len({entries[0][1] for entries in by_key.values()}) == 2
 
 
-def test_keyless_submissions_round_robin():
-    with StickyWorkerPool(2) as pool:
-        for _ in range(6):
-            pool.submit(_worker_pid).result()
-        assert pool.submitted_per_slot() == [3, 3]
-
-
 # -- in-flight window + depth ------------------------------------------------
 
 
 def test_depth_tracks_in_flight_and_drains_to_zero():
-    with StickyWorkerPool(1, max_in_flight=4) as pool:
-        futures = [pool.submit(_slow_echo, i, 0.05) for i in range(4)]
+    with StickyWorkerPool(1) as pool:
+        futures = [pool.submit(0, _slow_echo, i, 0.05) for i in range(4)]
         assert pool.depth() > 0
         assert [f.result() for f in futures] == list(range(4))
         deadline = time.monotonic() + 5.0
@@ -135,29 +128,13 @@ def test_depth_tracks_in_flight_and_drains_to_zero():
         assert pool.depth() == 0
 
 
-def test_worker_exception_propagates_and_frees_the_window():
-    with StickyWorkerPool(1, max_in_flight=1) as pool:
+def test_worker_exception_propagates_and_frees_the_window(monkeypatch):
+    monkeypatch.setattr(pool_module, "IN_FLIGHT_PER_WORKER", 1)
+    with StickyWorkerPool(1) as pool:
         with pytest.raises(RuntimeError, match="worker exploded"):
-            pool.submit(_boom).result()
+            pool.submit(0, _boom).result()
         # The window slot was released despite the failure.
-        assert pool.submit(_slow_echo, 7, 0.0).result() == 7
-
-
-def test_map_stream_preserves_order_and_pulls_lazily():
-    pulled = 0
-
-    def endless():
-        nonlocal pulled
-        while True:
-            yield (pulled, 0.0)
-            pulled += 1
-
-    with StickyWorkerPool(2) as pool:
-        stream = pool.map_stream(_slow_echo, endless())
-        consumed = [next(stream) for _ in range(5)]
-        stream.close()
-    assert consumed == list(range(5))
-    assert pulled <= 2 * 2 + len(consumed) + 1
+        assert pool.submit(0, _slow_echo, 7, 0.0).result() == 7
 
 
 # -- lifecycle + validation --------------------------------------------------
@@ -165,15 +142,13 @@ def test_map_stream_preserves_order_and_pulls_lazily():
 
 def test_shutdown_is_idempotent_and_blocks_new_submissions():
     pool = StickyWorkerPool(1)
-    assert pool.submit(_worker_pid).result() > 0
+    assert pool.submit(0, _worker_pid).result() > 0
     pool.shutdown()
     pool.shutdown()  # no-op
     with pytest.raises(RuntimeError, match="shut down"):
-        pool.submit(_worker_pid)
+        pool.submit(0, _worker_pid)
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError, match="at least one worker"):
         StickyWorkerPool(0)
-    with pytest.raises(ValueError, match="max_in_flight"):
-        StickyWorkerPool(1, max_in_flight=0)

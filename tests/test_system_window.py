@@ -28,6 +28,7 @@ from repro.system import (
     compressed_fleet_payloads,
     run_fleet,
 )
+from repro.system import client as client_module
 from repro.system.client import _InFlight, _QueuedFrame
 from repro.system.faults import FaultSpec
 from repro.system.loadgen import payload_contents
@@ -232,8 +233,12 @@ def test_stale_ack_trickle_cannot_extend_frame_deadline():
 
 
 class TestAimd:
+    @pytest.fixture(autouse=True)
+    def _short_busy_backoff(self, monkeypatch):
+        monkeypatch.setattr(client_module, "BUSY_BACKOFF_S", 0.01)
+
     def _client(self, server) -> DbgcClient:
-        return DbgcClient(server.address, window=8, busy_backoff_s=0.01)
+        return DbgcClient(server.address, window=8)
 
     def _inflight(self, client: DbgcClient, index: int) -> None:
         client._inflight[index] = _InFlight(
@@ -279,17 +284,18 @@ class TestAimd:
             finally:
                 client.close()
 
-    def test_window_floor_pauses_on_busy(self):
+    def test_window_floor_pauses_on_busy(self, monkeypatch):
         # Every ACK is BUSY (any store latency exceeds a zero threshold),
         # so the AIMD window halves 8 -> 4 -> 2 -> 1 within the first
         # window of frames.  At the floor there is nothing left to halve:
-        # the client must pause like a window-1 client, one busy_backoff_s
+        # the client must pause like a window-1 client, one BUSY_BACKOFF_S
         # before each further transmit.
         backoff = 0.1
+        monkeypatch.setattr(client_module, "BUSY_BACKOFF_S", backoff)
         with SqliteFrameStore() as store, DbgcServer(
             store, mode="store", busy_threshold_s=0.0
         ) as server:
-            client = DbgcClient(server.address, window=8, busy_backoff_s=backoff)
+            client = DbgcClient(server.address, window=8)
             try:
                 traces = [client.send_payload(i, b"frame-%d" % i) for i in range(14)]
             finally:
