@@ -440,26 +440,20 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def _open_scrub_store(path: Path, replication: int):
-    """Reopen an on-disk store for scrubbing, inferring its layout."""
+    """Reopen an on-disk SQLite store for scrubbing: one database or shards."""
     from repro.system import ShardedFrameStore, SqliteFrameStore
 
     if path.is_file():
         # A single SQLite database: still CRC-audited, just replica-less.
         return ShardedFrameStore([SqliteFrameStore(path)])
-    if not path.is_dir():
-        raise SystemExit(f"no store at {path}")
-    sqlite_shards = sorted(path.glob("shard_*.sqlite"))
-    if sqlite_shards:
-        return ShardedFrameStore.sqlite(
-            len(sqlite_shards), directory=path, replication=replication
+    shards = list(path.glob("shard_*.sqlite")) if path.is_dir() else []
+    if not shards:
+        raise SystemExit(
+            f"{path} is neither a SQLite database nor a directory of "
+            "shard_K.sqlite files"
         )
-    shard_dirs = sorted(d for d in path.glob("shard_*") if d.is_dir())
-    if shard_dirs:
-        return ShardedFrameStore.files(
-            len(shard_dirs), path, replication=replication
-        )
-    raise SystemExit(
-        f"{path} holds neither shard_K.sqlite files nor shard_K/ directories"
+    return ShardedFrameStore.sqlite(
+        len(shards), directory=path, replication=replication
     )
 
 
@@ -811,8 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "store",
-        help="store location: a shard directory (shard_K.sqlite files or "
-        "shard_K/ subdirectories) or a single SQLite database",
+        help="store location: a directory of shard_K.sqlite files or a "
+        "single SQLite database",
     )
     p.add_argument(
         "--replication", type=int, default=1,

@@ -46,14 +46,12 @@ class DBGCParams:
         Multiplier on the derived ``min_pts``; the calibration knob for
         sensors with reduced angular resolution.
     clustering:
-        ``"approx"`` (O(n) grid method of Section 4.3, the default),
-        ``"exact"`` (cell-based recursive method of Section 3.2),
-        ``"none"`` (everything is sparse), or ``"all-dense"`` (everything
-        goes to the octree).
+        ``"approx"`` (O(n) grid method of Section 4.3, the default) or
+        ``"exact"`` (cell-based recursive method of Section 3.2).
     dense_fraction:
         If set, overrides clustering entirely: this fraction of the points
         nearest the sensor is compressed with the octree (the Figure 10
-        sweep).
+        sweep; ``0.0`` makes everything sparse, ``1.0`` everything dense).
     n_groups:
         Radial point groups for the sparse pipeline (paper default 3).
     th_r:
@@ -112,7 +110,7 @@ class DBGCParams:
             raise ValueError(f"min_pts must be >= 1, got {self.min_pts}")
         if self.min_pts_mode not in ("volume", "surface", "sensor"):
             raise ValueError(f"unknown min_pts_mode {self.min_pts_mode!r}")
-        if self.clustering not in ("approx", "exact", "none", "all-dense"):
+        if self.clustering not in ("approx", "exact"):
             raise ValueError(f"unknown clustering mode {self.clustering!r}")
         if self.dense_fraction is not None and not 0.0 <= self.dense_fraction <= 1.0:
             raise ValueError("dense_fraction must be within [0, 1]")

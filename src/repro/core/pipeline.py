@@ -120,10 +120,6 @@ class DBGCCompressor:
         params = self.params
         if params.dense_fraction is not None:
             return split_by_fraction(xyz, params.dense_fraction)
-        if params.clustering == "none":
-            return np.zeros(len(xyz), dtype=bool)
-        if params.clustering == "all-dense":
-            return np.ones(len(xyz), dtype=bool)
         if params.clustering == "exact":
             return cluster_exact(xyz, params.eps, self.min_pts, params.leaf_side)
         return cluster_approx(xyz, params.eps, self.min_pts)

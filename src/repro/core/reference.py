@@ -295,7 +295,7 @@ def decode_radial(
                     if max(ul, ur, r_bl) - min(ul, ur, r_bl) <= th_r:
                         ref = r_bl
                     else:
-                        symbol = next(symbol_iter)
+                        symbol = next(symbol_iter, None)
                         if symbol == SYM_BOTTOM_LEFT:
                             ref = r_bl
                         elif symbol == SYM_UPPER_RIGHT:
@@ -308,12 +308,16 @@ def decode_radial(
                             ref = um_l[j]
                         elif symbol == SYM_UPPER_LEFT:
                             ref = ul
+                        elif symbol is None:
+                            raise ValueError("L_ref ends before its last reference")
                         else:
                             raise ValueError(f"invalid L_ref symbol {symbol}")
                 lr.append(nabla_l[ni] + ref)
                 ni += 1
         prev_head_r = lr[0]
         lines_r.append(np.asarray(lr, dtype=np.int64))
+    if next(symbol_iter, None) is not None:
+        raise ValueError("L_ref holds symbols past its last reference")
     return lines_r
 
 

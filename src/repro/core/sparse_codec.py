@@ -169,7 +169,13 @@ def _unpack_stream(data: bytes, count: int, version: int = 2) -> np.ndarray:
         raise ValueError("empty entropy stream")
     mode, payload = data[0], data[1:]
     if mode == _STREAM_DEFLATE:
-        return decode_varints(deflate_decompress(payload), count, signed=True)
+        raw = deflate_decompress(payload)
+        # Every byte must belong to one of the ``count`` varints: each
+        # byte below 0x80 ends one, and the last byte must end the last.
+        ends = np.frombuffer(raw, dtype=np.uint8) < 0x80
+        if int(ends.sum()) != count or (len(raw) and not ends[-1]):
+            raise ValueError("entropy stream count mismatch")
+        return decode_varints(raw, count, signed=True)
     if mode != _STREAM_ARITHMETIC:
         raise ValueError(f"unknown stream mode byte {mode}")
     values = decode_int_sequence(payload, checksum=version != 1)
@@ -336,8 +342,6 @@ def _decode_temporal_d3(
     q_r: float,
 ) -> np.ndarray:
     """Inverse of :func:`_encode_temporal_tail`: the group's ``d3``."""
-    if residuals.size != d1.size:
-        raise ValueError("corrupt temporal group: residual stream mismatch")
     prev_sparse, ego_delta = predictor
     matched, r_raw, r_mc = _ray_candidates(
         d1, d2, prev_sparse, ego_delta, q_theta, q_phi, q_r
@@ -572,7 +576,9 @@ def decode_sparse_group(
         lengths = decode_int_sequence(stream, checksum=False).tolist()
     else:
         lengths = decode_tagged_ints(stream).tolist()
-    if len(lengths) != n_lines or sum(lengths) != n_points:
+    # The encoder writes polylines of at least 2 points (shorter runs are
+    # outliers), so a shorter line is corrupt even when the sum agrees.
+    if len(lengths) != n_lines or sum(lengths) != n_points or min(lengths) < 2:
         raise ValueError("corrupt sparse group: length stream mismatch")
 
     n_tail = n_points - n_lines
@@ -593,6 +599,8 @@ def decode_sparse_group(
         nabla = decode_int_sequence(stream, checksum=False)
     else:
         nabla = decode_tagged_ints(stream)
+    if nabla.size != n_points:
+        raise ValueError("corrupt sparse group: radial stream mismatch")
     ref_stream, pos = _read_stream(payload, pos)
     n_symbols, ref_pos = decode_uvarint(ref_stream, 0)
 
@@ -620,6 +628,8 @@ def decode_sparse_group(
             decode_radial(lines_d1, line_phis, nabla, symbols, th_phi_q, th_r_q)
         )
     else:
+        if n_symbols:
+            raise ValueError("corrupt sparse group: L_ref without radial reference")
         d3 = np.concatenate(decode_radial_plain(nabla, lengths))
 
     if params.spherical_conversion:

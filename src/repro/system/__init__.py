@@ -6,7 +6,6 @@ shaped to a mobile-network bandwidth
 (:class:`~repro.system.channel.BandwidthShaper`).  A
 :class:`~repro.system.server.DbgcServer` receives, decompresses (or stores
 the raw stream), and writes frames into a
-:class:`~repro.system.storage.FileFrameStore` or
 :class:`~repro.system.storage.SqliteFrameStore`.  Per-frame stage
 timestamps support the Section 4.4 throughput / latency evaluation.
 
@@ -20,14 +19,15 @@ flips, truncations, disconnects, and bandwidth jitter to prove it.
 The ingest tier is multi-client: the server runs a handler thread per
 connection (capped by ``max_clients``), keys all per-stream state by the
 stream id each client announces in its HELLO record, and can fan storage
-out over a :class:`~repro.system.storage.ShardedFrameStore`.  The load
+out over the SQLite shards of a
+:class:`~repro.system.storage.ShardedFrameStore`.  The load
 generator (:mod:`repro.system.loadgen`) drives N concurrent clients over
 independently seeded fault channels for the `bench_fleet` throughput
 table and the fleet acceptance tests.
 
 The durability tier (:mod:`repro.system.durability`) survives *process*
-faults on top of the channel faults: every store commits writes
-atomically and recovers torn ones on open, the server journals receipts
+faults on top of the channel faults: every store commits each frame in
+one SQLite transaction, the server journals receipts
 (:class:`~repro.system.durability.ReceiptJournal`) so a restart rebuilds
 its dedupe state, :class:`~repro.system.storage.ShardedFrameStore` can
 replicate frames across shards and ``scrub()`` them back to health, and
@@ -64,7 +64,6 @@ from repro.system.client import OVERFLOW_POLICIES, DbgcClient
 from repro.system.durability import (
     JournalReplay,
     ReceiptJournal,
-    RecoveryReport,
     ScrubDefect,
     ScrubReport,
     atomic_write_bytes,
@@ -85,7 +84,7 @@ from repro.system.server import (
     RemoteDecodeError,
     StreamState,
 )
-from repro.system.storage import FileFrameStore, ShardedFrameStore, SqliteFrameStore
+from repro.system.storage import ShardedFrameStore, SqliteFrameStore
 
 __all__ = [
     "BandwidthShaper",
@@ -94,7 +93,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "FaultyChannel",
-    "FileFrameStore",
     "FleetResult",
     "FleetSpec",
     "FrameTrace",
@@ -103,7 +101,6 @@ __all__ = [
     "PipelineReport",
     "QuarantinedFrame",
     "ReceiptJournal",
-    "RecoveryReport",
     "RemoteDecodeError",
     "ScrubDefect",
     "ScrubReport",

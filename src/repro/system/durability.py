@@ -1,23 +1,24 @@
-"""Crash-safety primitives: receipt journal, recovery and scrub reports.
+"""Crash-safety primitives: receipt journal and scrub reports.
 
 The ingest tier's correctness story ("zero lost frames") only holds if it
 survives *process* faults, not just channel faults: a server killed
-mid-ingest loses its in-memory dedupe/ACK state, and a store killed
-mid-write can leave a torn frame on disk.  This module holds the pieces
-the stores and the server share to close that gap:
+mid-ingest loses its in-memory dedupe/ACK state.  (The store's own
+writes are atomic: :class:`~repro.system.storage.SqliteFrameStore`
+commits each frame in one SQLite transaction.)  This module holds the
+pieces the stores and the server share to close that gap:
 
 - :func:`atomic_write_bytes` — the tmp-file + (optional) fsync + rename
-  commit path used by :class:`~repro.system.storage.FileFrameStore`;
-  a reader never observes a half-written frame, and a crash leaves only
-  a ``*.tmp`` orphan that :meth:`recover` deletes on the next open.
+  commit path :class:`ReceiptJournal` compaction writes through; a
+  reader never observes a half-written segment, and a crash leaves only
+  a ``*.tmp`` orphan.
 - :class:`ReceiptJournal` — an append-only, CRC-framed journal of
   per-stream store receipts.  The server appends one record per stored
   frame (after the store write, before the ACK) and one per END, and a
   restarted server replays the journal to rebuild each stream's dedupe
   set — so a retransmission of a frame stored before the crash is
   answered with DUPLICATE instead of being stored twice.
-- :class:`RecoveryReport` / :class:`ScrubReport` — what ``recover()``
-  and ``scrub()`` found and fixed, for tests, counters, and the CLI.
+- :class:`ScrubReport` — what a replica ``scrub()`` found and fixed, for
+  tests, counters, and the CLI.
 
 Record layout (see docs/FORMAT.md, "Durability journals"): one JSON
 object per line, ``{"t": "frame"|"end", "sid": <stream id>, "idx": ...,
@@ -39,7 +40,6 @@ from pathlib import Path
 __all__ = [
     "ReceiptJournal",
     "JournalReplay",
-    "RecoveryReport",
     "ScrubDefect",
     "ScrubReport",
     "atomic_write_bytes",
@@ -69,16 +69,6 @@ def atomic_write_bytes(path: Path, data: bytes, fsync: bool = False) -> Path:
         finally:
             os.close(dir_fd)
     return path
-
-
-@dataclass
-class RecoveryReport:
-    """What :meth:`~repro.system.storage.FileFrameStore.recover` found on open."""
-
-    #: Torn writes rolled back (tmp-file orphans).
-    rolled_back: int = 0
-    #: Stray artifacts removed (orphan CRC sidecars).
-    orphans_removed: int = 0
 
 
 @dataclass(frozen=True)

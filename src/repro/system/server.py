@@ -75,7 +75,7 @@ from repro.system.protocol import (
     encode_record,
     read_record,
 )
-from repro.system.storage import FileFrameStore, ShardedFrameStore, SqliteFrameStore
+from repro.system.storage import ShardedFrameStore, SqliteFrameStore
 
 __all__ = [
     "DbgcServer",
@@ -290,7 +290,7 @@ class DbgcServer:
     Parameters
     ----------
     store:
-        Frame store to persist into (file, SQLite, or sharded).
+        Frame store to persist into (one SQLite store, or SQLite shards).
     mode:
         ``"decompress"`` — decompress and store clouds;
         ``"store"`` — store compressed payloads directly.
@@ -352,7 +352,7 @@ class DbgcServer:
 
     def __init__(
         self,
-        store: FileFrameStore | SqliteFrameStore | ShardedFrameStore,
+        store: SqliteFrameStore | ShardedFrameStore,
         mode: str = "decompress",
         host: str = "127.0.0.1",
         port: int = 0,

@@ -1,9 +1,9 @@
 """Server-side frame stores, crash-safe.
 
 The paper's server either decompresses and processes frames or stores the
-compressed bit sequence directly; storage goes to files or to a relational
-database (they use ODBC — we use the stdlib's SQLite, the same access
-pattern without a driver dependency).
+compressed bit sequence directly, into a relational database (they use
+ODBC — we use the stdlib's SQLite, the same access pattern without a
+driver dependency).
 
 With the multi-client ingest tier, several connection handlers write
 concurrently: :class:`SqliteFrameStore` serializes all statement/commit
@@ -11,16 +11,11 @@ pairs behind an internal lock (``check_same_thread=False`` alone is *not*
 thread-safe — interleaved execute/commit from two threads can commit a
 half-written row or trip sqlite's shared-cache errors), and
 :class:`ShardedFrameStore` spreads the index space over N independent
-stores so handlers landing on different shards do not serialize on one
-database at all.
+SQLite stores so handlers landing on different shards do not serialize
+on one database at all.
 
-The durability tier gives every store one crash-safe write path:
+The durability tier has one crash-safe write path:
 
-- :class:`FileFrameStore` writes each artifact to a same-directory tmp
-  file and renames it into place (the commit point), recording the
-  payload CRC-32 in a ``.crc`` sidecar *before* the payload rename — a
-  killed process leaves a tmp orphan, never a torn frame, and
-  :meth:`FileFrameStore.recover` deletes the orphans on the next open.
 - :class:`SqliteFrameStore` writes each frame row, CRC included, in one
   transaction; SQLite's rollback journal makes the row atomic, so a
   crash leaves the frame either stored whole or not at all.
@@ -32,7 +27,6 @@ The durability tier gives every store one crash-safe write path:
 
 from __future__ import annotations
 
-import io
 import sqlite3
 import threading
 import zlib
@@ -43,129 +37,9 @@ import numpy as np
 
 from repro.geometry.points import PointCloud
 from repro.observability import recorder as _obs
-from repro.system.durability import (
-    RecoveryReport,
-    ScrubDefect,
-    ScrubReport,
-    atomic_write_bytes,
-)
+from repro.system.durability import ScrubDefect, ScrubReport
 
-__all__ = ["FileFrameStore", "SqliteFrameStore", "ShardedFrameStore"]
-
-
-class FileFrameStore:
-    """One file per frame under a directory.
-
-    Compressed payloads are stored verbatim (``.dbgc``); decompressed
-    clouds as NPZ.  A frame index counts once even when both artifacts
-    exist for it.
-
-    Every artifact is committed by the tmp-file + rename path of
-    :func:`~repro.system.durability.atomic_write_bytes`, and payloads get
-    a ``.crc`` sidecar recording their CRC-32 (written first, so a
-    visible payload always has its checksum).  ``fsync=True``
-    additionally syncs each write to stable storage.  :meth:`recover`
-    runs on open and removes torn tmp files and orphaned sidecars; the
-    report lands in :attr:`last_recovery`.
-    """
-
-    def __init__(self, root: str | Path, fsync: bool = False) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.fsync = bool(fsync)
-        self._closed = False
-        self.last_recovery = self.recover()
-
-    def _payload_path(self, frame_index: int) -> Path:
-        return self.root / f"frame_{frame_index:06d}.dbgc"
-
-    def _crc_path(self, frame_index: int) -> Path:
-        return self.root / f"frame_{frame_index:06d}.crc"
-
-    def recover(self) -> RecoveryReport:
-        """Roll back torn writes: delete tmp orphans and widowed sidecars."""
-        report = RecoveryReport()
-        for tmp in self.root.glob("frame_*.tmp"):
-            tmp.unlink()
-            report.rolled_back += 1
-        for crc in self.root.glob("frame_*.crc"):
-            if not crc.with_suffix(".dbgc").exists():
-                crc.unlink()
-                report.orphans_removed += 1
-        if report.rolled_back:
-            _obs.count("store.journal.rollbacks", report.rolled_back)
-        return report
-
-    def put_payload(self, frame_index: int, payload: bytes) -> Path:
-        path = self._payload_path(frame_index)
-        # Sidecar first: a payload that became visible always has its
-        # CRC; the reverse orphan is cleaned up by recover().
-        atomic_write_bytes(
-            self._crc_path(frame_index),
-            f"{zlib.crc32(payload):08x}\n".encode(),
-            fsync=self.fsync,
-        )
-        atomic_write_bytes(path, payload, fsync=self.fsync)
-        _obs.count("store.journal.commits")
-        return path
-
-    def get_payload(self, frame_index: int) -> bytes:
-        return self._payload_path(frame_index).read_bytes()
-
-    def payload_crc(self, frame_index: int) -> int | None:
-        """The CRC-32 recorded at write time, or ``None`` if never recorded."""
-        try:
-            return int(self._crc_path(frame_index).read_text().strip(), 16)
-        except (OSError, ValueError):
-            return None
-
-    def put_cloud(self, frame_index: int, cloud: PointCloud) -> Path:
-        path = self.root / f"frame_{frame_index:06d}.npz"
-        buffer = io.BytesIO()
-        np.savez_compressed(buffer, xyz=cloud.xyz)
-        atomic_write_bytes(path, buffer.getvalue(), fsync=self.fsync)
-        _obs.count("store.journal.commits")
-        return path
-
-    def get_cloud(self, frame_index: int) -> PointCloud:
-        with np.load(self.root / f"frame_{frame_index:06d}.npz") as data:
-            return PointCloud(data["xyz"])
-
-    def frame_indices(self) -> list[int]:
-        """Sorted indices of every stored frame (dedupe/audit aid).
-
-        Deduplicated by index: ``frame_N.dbgc`` and ``frame_N.npz``
-        together are still one frame.  CRC sidecars and tmp files are
-        metadata, not frames.
-        """
-        return sorted(
-            {
-                int(p.stem.split("_")[1])
-                for pattern in ("frame_*.dbgc", "frame_*.npz")
-                for p in self.root.glob(pattern)
-            }
-        )
-
-    def total_payload_bytes(self) -> int:
-        """Summed on-disk bytes of every stored artifact (audit aid)."""
-        return sum(
-            p.stat().st_size
-            for pattern in ("frame_*.dbgc", "frame_*.npz")
-            for p in self.root.glob(pattern)
-        )
-
-    def __len__(self) -> int:
-        return len(self.frame_indices())
-
-    def close(self) -> None:
-        """Idempotent; files need no teardown (store-interface symmetry)."""
-        self._closed = True
-
-    def __enter__(self) -> "FileFrameStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+__all__ = ["SqliteFrameStore", "ShardedFrameStore"]
 
 
 class SqliteFrameStore:
@@ -297,7 +171,7 @@ class SqliteFrameStore:
 
 
 class ShardedFrameStore:
-    """Route frames over N independent stores by ``frame_index % n_shards``.
+    """Route frames over N SQLite stores by ``frame_index % n_shards``.
 
     The ingest tier's storage fan-out: each shard sits behind its own
     lock, so connection handlers landing on different shards write in
@@ -314,7 +188,7 @@ class ShardedFrameStore:
 
     def __init__(
         self,
-        shards: Iterable[FileFrameStore | SqliteFrameStore],
+        shards: Iterable[SqliteFrameStore],
         replication: int = 1,
     ) -> None:
         self.shards = list(shards)
@@ -349,21 +223,6 @@ class ShardedFrameStore:
             replication=replication,
         )
 
-    @classmethod
-    def files(
-        cls,
-        n_shards: int,
-        root: str | Path,
-        replication: int = 1,
-        fsync: bool = False,
-    ) -> "ShardedFrameStore":
-        """N file-store shards under ``root/shard_K/``."""
-        base = Path(root)
-        return cls(
-            (FileFrameStore(base / f"shard_{k}", fsync=fsync) for k in range(n_shards)),
-            replication=replication,
-        )
-
     @property
     def n_shards(self) -> int:
         return len(self.shards)
@@ -377,14 +236,10 @@ class ShardedFrameStore:
         primary = self.shard_for(frame_index)
         return [(primary + r) % len(self.shards) for r in range(self.replication)]
 
-    def put_payload(self, frame_index: int, payload: bytes):
-        result = None
+    def put_payload(self, frame_index: int, payload: bytes) -> None:
         for k in self.replica_shards(frame_index):
             with self._locks[k]:
-                written = self.shards[k].put_payload(frame_index, payload)
-            if result is None:
-                result = written
-        return result
+                self.shards[k].put_payload(frame_index, payload)
 
     def get_payload(self, frame_index: int) -> bytes:
         """Read the primary copy, falling back to healthy replicas.
@@ -392,13 +247,13 @@ class ShardedFrameStore:
         A copy is skipped when it is missing or when its bytes no longer
         match the CRC recorded at write time (on-disk corruption).
         """
-        last_error: Exception | None = None
+        last_error: Exception = KeyError(f"no payload for frame {frame_index}")
         for k in self.replica_shards(frame_index):
             shard = self.shards[k]
             with self._locks[k]:
                 try:
                     payload = shard.get_payload(frame_index)
-                except (KeyError, OSError) as exc:
+                except KeyError as exc:
                     last_error = exc
                     continue
                 crc = shard.payload_crc(frame_index)
@@ -407,28 +262,22 @@ class ShardedFrameStore:
             last_error = ValueError(
                 f"frame {frame_index}: shard {k} copy fails its CRC"
             )
-        if last_error is not None:
-            raise last_error
-        raise KeyError(f"no payload for frame {frame_index}")
+        raise last_error
 
-    def put_cloud(self, frame_index: int, cloud: PointCloud):
-        result = None
+    def put_cloud(self, frame_index: int, cloud: PointCloud) -> None:
         for k in self.replica_shards(frame_index):
             with self._locks[k]:
-                written = self.shards[k].put_cloud(frame_index, cloud)
-            if result is None:
-                result = written
-        return result
+                self.shards[k].put_cloud(frame_index, cloud)
 
     def get_cloud(self, frame_index: int) -> PointCloud:
-        last_error: Exception | None = None
+        last_error: Exception = KeyError(f"no cloud for frame {frame_index}")
         for k in self.replica_shards(frame_index):
             with self._locks[k]:
                 try:
                     return self.shards[k].get_cloud(frame_index)
-                except (KeyError, OSError) as exc:
+                except KeyError as exc:
                     last_error = exc
-        raise last_error if last_error is not None else KeyError(frame_index)
+        raise last_error
 
     def frame_indices(self) -> list[int]:
         """Sorted indices over all shards (each frame once, replicas deduped)."""
@@ -475,7 +324,7 @@ class ShardedFrameStore:
                 with self._locks[k]:
                     try:
                         copies[k] = shard.get_payload(frame_index)
-                    except (KeyError, OSError):
+                    except KeyError:
                         copies[k] = None
                     crcs[k] = shard.payload_crc(frame_index)
             if all(payload is None for payload in copies.values()):

@@ -33,6 +33,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             DBGCParams(min_pts_mode="area")
 
+    @pytest.mark.parametrize("mode", ["none", "all-dense"])
+    def test_rejects_retired_clustering_spellings(self, mode):
+        # dense_fraction=0.0 / 1.0 spell the two extremes.
+        with pytest.raises(ValueError, match="unknown clustering mode"):
+            DBGCParams(clustering=mode)
+
     def test_rejects_bad_fraction(self):
         with pytest.raises(ValueError):
             DBGCParams(dense_fraction=1.5)

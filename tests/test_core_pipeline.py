@@ -80,8 +80,8 @@ class TestConfigurations:
             DBGCParams(spherical_conversion=False),
             DBGCParams(outlier_mode="octree"),
             DBGCParams(outlier_mode="none"),
-            DBGCParams(clustering="none"),
-            DBGCParams(clustering="all-dense"),
+            DBGCParams(dense_fraction=0.0),
+            DBGCParams(dense_fraction=1.0),
             DBGCParams(dense_fraction=0.5),
             DBGCParams(n_groups=1),
             DBGCParams(n_groups=5),
@@ -104,12 +104,6 @@ class TestConfigurations:
         assert len(decoded) == len(frame)
         err = np.linalg.norm(decoded.xyz[result.mapping] - frame.xyz, axis=1)
         assert err.max() <= np.sqrt(3) * params.q_xyz * (1 + 1e-6)
-
-    def test_all_dense_equals_pure_octree_ratio(self, frame):
-        """dense_fraction=1.0 and clustering='all-dense' agree."""
-        a, _ = _roundtrip(frame, DBGCParams(dense_fraction=1.0))
-        b, _ = _roundtrip(frame, DBGCParams(clustering="all-dense"))
-        assert a.n_dense == b.n_dense == len(frame)
 
     def test_exact_clustering_roundtrip(self, frame):
         # Exact clustering is slow; run it on a further-subsampled cloud.

@@ -22,8 +22,9 @@ from repro.baselines import (
     OctreeICompressor,
 )
 from repro.core import DBGCCompressor, DBGCDecompressor, DBGCParams
+from repro.core.sparse_codec import _pack_stream, decode_sparse_group, encode_sparse_group
 from repro.core.temporal import TemporalContext, _decode_dense_delta, _encode_dense_delta
-from repro.datasets import generate_frame
+from repro.datasets import SensorModel, generate_frame
 from repro.entropy import (
     arithmetic_encode,
     decode_tagged_ints,
@@ -34,7 +35,7 @@ from repro.entropy import (
     huffman_compress,
     huffman_decompress,
 )
-from repro.entropy.deflate import _MODE_DEFLATE
+from repro.entropy.deflate import _MODE_DEFLATE, deflate_compress
 from repro.entropy.lz77 import MIN_MATCH
 from repro.entropy.varint import decode_uvarint, encode_uvarint
 from repro.geometry import PointCloud
@@ -354,3 +355,140 @@ class TestInflatedClaims:
         start = time.perf_counter()
         _raises_within(decode, data, 1 << 20)
         assert time.perf_counter() - start < 1.0
+
+
+# -- sparse group counts --------------------------------------------------------
+
+#: Stream order inside a sparse group payload, after its header.
+_D1_HEADS, _NABLA, _LREF = 1, 5, 6
+
+
+def _group_streams(payload):
+    """Split a sparse group payload into its header and its seven streams."""
+    _, pos = decode_uvarint(payload, 0)  # n_points
+    _, pos = decode_uvarint(payload, pos)  # n_lines
+    pos += 8  # r_max
+    header, streams = payload[:pos], []
+    while pos < len(payload):
+        size, pos = decode_uvarint(payload, pos)
+        streams.append(payload[pos : pos + size])
+        pos += size
+    return header, streams
+
+
+def _group_payload(header, streams):
+    out = bytearray(header)
+    for stream in streams:
+        encode_uvarint(len(stream), out)
+        out += stream
+    return bytes(out)
+
+
+def _lref_stream(symbols):
+    out = bytearray()
+    encode_uvarint(len(symbols), out)
+    if len(symbols):
+        out += encode_tagged_symbols(np.asarray(symbols), 4)
+    return bytes(out)
+
+
+def _two_point_group(lengths):
+    """Two one-point lines whose length stream claims ``lengths``."""
+    header = bytearray()
+    encode_uvarint(2, header)  # n_points
+    encode_uvarint(2, header)  # n_lines
+    header += struct.pack("<d", 10.0)
+    empty = np.empty(0, dtype=np.int64)
+    return _group_payload(
+        header,
+        [
+            encode_tagged_ints(np.array(lengths)),
+            _pack_stream(np.array([100, 5])),
+            _pack_stream(empty),
+            _pack_stream(np.array([50, 1])),
+            _pack_stream(empty),
+            encode_tagged_ints(np.array([1000, 3])),
+            _lref_stream([]),
+        ],
+    )
+
+
+@pytest.fixture(scope="module")
+def sparse_group():
+    """A kitti-city group (30-40 m) whose decode reads L_ref symbols."""
+    sensor = SensorModel.benchmark_default()
+    xyz = generate_frame("kitti-city", 0, sensor=sensor).xyz
+    radius = np.linalg.norm(xyz, axis=1)
+    group = xyz[(radius > 30.0) & (radius < 40.0)]
+    payload = encode_sparse_group(group, DBGCParams(), sensor.u_theta, sensor.u_phi).payload
+    header, streams = _group_streams(payload)
+    n_symbols, pos = decode_uvarint(streams[_LREF], 0)
+    assert n_symbols > 0
+    symbols = decode_tagged_symbols(streams[_LREF][pos:], n_symbols, 4)
+    nabla = decode_tagged_ints(streams[_NABLA])
+    # Split and rejoined unedited, the group still decodes.
+    decoded = decode_sparse_group(
+        _group_payload(header, streams), DBGCParams(), sensor.u_theta, sensor.u_phi
+    )
+    assert len(decoded) == nabla.size
+    return sensor, header, streams, nabla, symbols
+
+
+class TestSparseGroupCounts:
+    """A sparse group's streams must agree exactly with its counts."""
+
+    @staticmethod
+    def _decode(data, sensor):
+        return decode_sparse_group(data, DBGCParams(), sensor.u_theta, sensor.u_phi)
+
+    @pytest.mark.parametrize(
+        "lengths", [[0, 2], [3, -1], [1, 1]], ids=["0,2", "3,-1", "1,1"]
+    )
+    def test_lines_shorter_than_two_points_rejected(self, lengths):
+        # The sum and the line count agree with the header; the encoder
+        # never writes a polyline of fewer than 2 points.
+        with pytest.raises(ValueError, match="length stream"):
+            self._decode(_two_point_group(lengths), SensorModel.benchmark_default())
+
+    @pytest.mark.parametrize("tail", [b"\x05", b"\x85"], ids=["surplus", "dangling"])
+    def test_deflate_stream_holds_exactly_its_count(self, sparse_group, tail):
+        # d1 heads, one varint per line: a surplus varint, or a byte that
+        # starts one and never ends it, after the last.
+        sensor, header, streams, _, _ = sparse_group
+        stream = streams[_D1_HEADS]
+        assert stream[0] == 0  # the Deflate mode byte
+        stream = bytes([0]) + deflate_compress(deflate_decompress(stream[1:]) + tail)
+        streams = [*streams[:_D1_HEADS], stream, *streams[_D1_HEADS + 1 :]]
+        with pytest.raises(ValueError, match="count mismatch"):
+            self._decode(_group_payload(header, streams), sensor)
+
+    @pytest.mark.parametrize("edit", ["short", "surplus"])
+    def test_radial_stream_must_hold_one_value_per_point(self, sparse_group, edit):
+        sensor, header, streams, nabla, _ = sparse_group
+        nabla = nabla[:-1] if edit == "short" else np.append(nabla, 0)
+        streams = [*streams[:_NABLA], encode_tagged_ints(nabla), *streams[_NABLA + 1 :]]
+        with pytest.raises(ValueError, match="radial stream"):
+            self._decode(_group_payload(header, streams), sensor)
+
+    @pytest.mark.parametrize("edit", ["empty", "short", "surplus"])
+    def test_lref_must_be_consumed_exactly(self, sparse_group, edit):
+        sensor, header, streams, _, symbols = sparse_group
+        symbols = {
+            "empty": symbols[:0],
+            "short": symbols[:-1],
+            "surplus": np.append(symbols, 0),
+        }[edit]
+        streams = [*streams[:_LREF], _lref_stream(symbols)]
+        with pytest.raises(ValueError, match="L_ref"):
+            self._decode(_group_payload(header, streams), sensor)
+
+    def test_plain_radial_group_carries_no_lref(self, sparse_group):
+        # -Radial groups delta-code r without references: any L_ref
+        # symbol is one the decode never consumes.
+        sensor, header, streams, _, _ = sparse_group
+        params = DBGCParams(radial_reference=False)
+        streams = [*streams[:_LREF], _lref_stream([0])]
+        with pytest.raises(ValueError, match="L_ref"):
+            decode_sparse_group(
+                _group_payload(header, streams), params, sensor.u_theta, sensor.u_phi
+            )

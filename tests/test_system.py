@@ -10,7 +10,6 @@ from repro.system import (
     BandwidthShaper,
     DbgcClient,
     DbgcServer,
-    FileFrameStore,
     SqliteFrameStore,
 )
 from repro.system.metrics import FrameTrace, PipelineReport
@@ -48,15 +47,6 @@ class TestChannel:
 
 
 class TestStores:
-    def test_file_store_roundtrip(self, tmp_path):
-        store = FileFrameStore(tmp_path / "frames")
-        store.put_payload(3, b"abc")
-        assert store.get_payload(3) == b"abc"
-        cloud = PointCloud(np.random.default_rng(0).normal(size=(10, 3)))
-        store.put_cloud(4, cloud)
-        assert np.array_equal(store.get_cloud(4).xyz, cloud.xyz)
-        assert len(store) == 2
-
     def test_sqlite_store_roundtrip(self):
         store = SqliteFrameStore()
         store.put_payload(1, b"xyz", n_points=5)

@@ -1,10 +1,10 @@
 """The crash-safety tier: journals, recovery, replication, backpressure.
 
 Process faults, not channel faults: a server killed mid-ingest must come
-back answering retransmissions from its durable receipt journal, stores
-must roll torn writes back on open, replicated shards must scrub
-themselves back to health, and an overloaded server must push back on
-its clients via the BUSY ACK hint.  The acceptance bar is the seeded
+back answering retransmissions from its durable receipt journal, a store
+killed inside a commit must roll the torn frame back, replicated shards
+must scrub themselves back to health, and an overloaded server must push
+back on its clients via the BUSY ACK hint.  The acceptance bar is the seeded
 kill-and-restart drill: a concurrent fleet with the server killed and
 restarted mid-ingest must land byte-identical to an uninterrupted serial
 replay, with a clean scrub.
@@ -27,7 +27,6 @@ from repro.system import (
     DbgcClient,
     DbgcServer,
     FaultSpec,
-    FileFrameStore,
     FleetSpec,
     ReceiptJournal,
     ServerKillSwitch,
@@ -230,27 +229,6 @@ def test_atomic_write_commits_or_leaves_only_tmp(tmp_path):
     assert list(tmp_path.glob("*.tmp")) == []
 
 
-# -- store recovery ----------------------------------------------------------
-
-
-def test_file_store_recover_rolls_back_torn_writes(tmp_path):
-    store = FileFrameStore(tmp_path)
-    store.put_payload(1, b"\x01" * 32)
-    # Simulate a crash mid-commit: a tmp orphan and a widowed CRC sidecar.
-    (tmp_path / "frame_000002.dbgc.tmp").write_bytes(b"half a frame")
-    (tmp_path / "frame_000003.crc").write_text("deadbeef\n")
-    reopened = FileFrameStore(tmp_path)
-    assert reopened.last_recovery.rolled_back == 1
-    assert reopened.last_recovery.orphans_removed == 1
-    assert not (tmp_path / "frame_000002.dbgc.tmp").exists()
-    assert not (tmp_path / "frame_000003.crc").exists()
-    # The committed frame survived, sidecar intact.
-    assert reopened.frame_indices() == [1]
-    import zlib
-
-    assert reopened.payload_crc(1) == zlib.crc32(b"\x01" * 32)
-
-
 class _OnCommit:
     """A store's SQLite connection whose ``commit()`` calls ``hook`` first."""
 
@@ -380,24 +358,41 @@ def test_sqlite_cross_kind_conflict_under_threads():
 # -- replication + scrub -----------------------------------------------------
 
 
+def _edit_shard(directory, k: int, sql: str, *params) -> None:
+    """Run one statement on ``shard_k.sqlite`` behind its store's back."""
+    conn = sqlite3.connect(directory / f"shard_{k}.sqlite")
+    with conn:
+        conn.execute(sql, params)
+    conn.close()
+
+
+def _corrupt(directory, k: int, frame_index: int, data: bytes) -> None:
+    _edit_shard(
+        directory, k, "UPDATE frames SET data = ? WHERE frame_index = ?",
+        data, frame_index,
+    )
+
+
 def test_replication_reads_fall_back_past_corruption(tmp_path):
-    with ShardedFrameStore.files(3, tmp_path, replication=2) as store:
+    with ShardedFrameStore.sqlite(3, directory=tmp_path, replication=2) as store:
         payload = b"replicated-payload" * 10
         store.put_payload(4, payload)
         assert store.replica_shards(4) == [1, 2]
-        # Flip bytes in the primary copy on disk; the read must fall back
-        # to the intact replica instead of returning garbage.
-        primary = tmp_path / "shard_1" / "frame_000004.dbgc"
-        primary.write_bytes(b"X" * len(payload))
+        # Overwrite the primary copy on disk; the read must fall back to
+        # the intact replica instead of returning garbage.
+        _corrupt(tmp_path, 1, 4, b"X" * len(payload))
+        assert store.get_payload(4) == payload
+        # With the primary row gone, the replica still answers.
+        _edit_shard(tmp_path, 1, "DELETE FROM frames WHERE frame_index = 4")
         assert store.get_payload(4) == payload
 
 
 def test_scrub_repairs_corrupt_and_missing_replicas(tmp_path):
-    with ShardedFrameStore.files(3, tmp_path, replication=2) as store:
+    with ShardedFrameStore.sqlite(3, directory=tmp_path, replication=2) as store:
         for i in range(6):
             store.put_payload(i, bytes([i]) * 100)
-        (tmp_path / "shard_1" / "frame_000000.dbgc").write_bytes(b"garbage")
-        (tmp_path / "shard_2" / "frame_000001.dbgc").unlink()
+        _corrupt(tmp_path, 1, 0, b"garbage")
+        _edit_shard(tmp_path, 2, "DELETE FROM frames WHERE frame_index = 1")
         report = store.scrub()
         assert report.frames_checked == 6
         assert report.n_corrupt == 1 and report.n_missing == 1
@@ -409,9 +404,9 @@ def test_scrub_repairs_corrupt_and_missing_replicas(tmp_path):
 
 
 def test_scrub_without_repair_reports_only(tmp_path):
-    with ShardedFrameStore.files(2, tmp_path, replication=2) as store:
+    with ShardedFrameStore.sqlite(2, directory=tmp_path, replication=2) as store:
         store.put_payload(0, b"A" * 50)
-        (tmp_path / "shard_0" / "frame_000000.dbgc").write_bytes(b"B" * 50)
+        _corrupt(tmp_path, 0, 0, b"B" * 50)
         report = store.scrub(repair=False)
         assert report.n_corrupt == 1 and report.n_repaired == 0
         assert not report.clean
@@ -429,16 +424,28 @@ def test_scrub_cli_audits_and_repairs_on_disk_sqlite_shards(tmp_path, capsys):
     assert main(argv) == 0
     assert "4 frame(s), 8 healthy cop(ies), 0 corrupt" in capsys.readouterr().out
     # Overwrite one copy by hand; the scrub repairs it from its replica.
-    conn = sqlite3.connect(tmp_path / "shard_0.sqlite")
-    conn.execute("UPDATE frames SET data = ? WHERE frame_index = 2", (b"garbage",))
-    conn.commit()
-    conn.close()
+    _corrupt(tmp_path, 0, 2, b"garbage")
     assert main(argv) == 0
     assert "1 corrupt, 0 missing, 1 repaired" in capsys.readouterr().out
     assert main(argv) == 0
     assert "8 healthy cop(ies), 0 corrupt" in capsys.readouterr().out
     with ShardedFrameStore.sqlite(2, directory=tmp_path, replication=2) as store:
         assert store.get_payload(2) == bytes([2]) * 50
+
+
+def test_scrub_cli_rejects_a_directory_without_sqlite_shards(tmp_path):
+    from repro.cli import main
+
+    # shard_K/ subdirectories are not a store layout scrub opens.
+    (tmp_path / "shard_0").mkdir()
+    (tmp_path / "shard_0" / "frame_000000.dbgc").write_bytes(b"A" * 50)
+    with pytest.raises(SystemExit) as exc_info:
+        main(["scrub", str(tmp_path)])
+    assert str(exc_info.value) == (
+        f"{tmp_path} is neither a SQLite database nor a directory of "
+        "shard_K.sqlite files"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["shard_0"]
 
 
 def test_sharded_byte_accounting_multithreaded():
@@ -470,15 +477,11 @@ def test_sharded_byte_accounting_multithreaded():
 # -- close() lifecycle -------------------------------------------------------
 
 
-def test_close_is_idempotent_and_safe_before_connect(tmp_path):
+def test_close_is_idempotent_and_safe_before_connect():
     # A client that never finished __init__ (connect refused) must still
     # close cleanly — close() can run on a half-built instance.
     object.__new__(DbgcClient).close()
-    for store in (
-        FileFrameStore(tmp_path / "files"),
-        SqliteFrameStore(),
-        ShardedFrameStore.sqlite(2),
-    ):
+    for store in (SqliteFrameStore(), ShardedFrameStore.sqlite(2)):
         store.close()
         store.close()
     server = DbgcServer(SqliteFrameStore(), mode="store").start()

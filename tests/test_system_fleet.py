@@ -2,10 +2,10 @@
 
 Covers the thread-safety bugs the single-connection server used to hide:
 off-lock dedupe mutation (two connections hammering one stream), SQLite
-access from concurrent handler threads, double-counted file-store frames,
-the END/ACK handshake's addressing, and — as the acceptance bar — a
-seeded 4-client fault-injection run whose accounting must reconcile
-exactly with a serial replay.
+access from concurrent handler threads, the END/ACK handshake's
+addressing, and — as the acceptance bar — a seeded 4-client
+fault-injection run whose accounting must reconcile exactly with a
+serial replay.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.system import (
     DbgcServer,
     FaultSpec,
     FaultyChannel,
-    FileFrameStore,
     FleetSpec,
     ShardedFrameStore,
     SqliteFrameStore,
@@ -61,15 +60,6 @@ def test_sharded_store_routes_by_modulo(tmp_path):
         assert store.get_payload(7) == bytes([7]) * 8
 
 
-def test_sharded_file_store_layout(tmp_path):
-    with ShardedFrameStore.files(2, tmp_path) as store:
-        store.put_payload(4, b"even")
-        store.put_payload(5, b"odd")
-        assert (tmp_path / "shard_0" / "frame_000004.dbgc").read_bytes() == b"even"
-        assert (tmp_path / "shard_1" / "frame_000005.dbgc").read_bytes() == b"odd"
-        assert store.frame_indices() == [4, 5]
-
-
 def test_sqlite_store_concurrent_writers():
     """Interleaved execute/commit from many threads must not lose rows."""
     store = SqliteFrameStore()
@@ -101,16 +91,6 @@ def test_sqlite_store_kind_conflict_raises():
         store.put_cloud(1, PointCloud([[0.0, 0.0, 0.0]]))
     assert store.get_payload(1) == b"payload-bytes"
     store.close()
-
-
-def test_file_store_counts_each_index_once(tmp_path):
-    """A .dbgc and a .npz for one index used to double-count the frame."""
-    store = FileFrameStore(tmp_path)
-    store.put_payload(3, b"compressed")
-    store.put_cloud(3, PointCloud([[1.0, 2.0, 3.0]]))
-    store.put_payload(8, b"other")
-    assert store.frame_indices() == [3, 8]
-    assert len(store) == 2
 
 
 # -- raw-socket protocol behavior -------------------------------------------
@@ -297,14 +277,14 @@ def _check_acceptance(result, store) -> None:
 
 def test_fleet_acceptance_under_faults(tmp_path):
     """4 clients x 25 frames through bit flips, disconnects, and ACK loss."""
-    with ShardedFrameStore.files(3, tmp_path / "a") as store:
+    with ShardedFrameStore.sqlite(3, directory=tmp_path / "a") as store:
         result = run_fleet(ACCEPTANCE_SPEC, store)
         _check_acceptance(result, store)
         keys = result.accounting_keys()
 
     # Same spec, fresh store: fault handling replays identically even
     # though thread interleavings differ.
-    with ShardedFrameStore.files(3, tmp_path / "b") as store_b:
+    with ShardedFrameStore.sqlite(3, directory=tmp_path / "b") as store_b:
         rerun = run_fleet(ACCEPTANCE_SPEC, store_b)
         assert rerun.accounting_keys() == keys
 
@@ -312,13 +292,13 @@ def test_fleet_acceptance_under_faults(tmp_path):
 def test_fleet_concurrent_matches_serial_replay(tmp_path):
     """The serial oracle: one client at a time must produce byte-identical
     shard contents and equal per-client accounting."""
-    with ShardedFrameStore.files(3, tmp_path / "conc") as store:
+    with ShardedFrameStore.sqlite(3, directory=tmp_path / "conc") as store:
         concurrent = run_fleet(ACCEPTANCE_SPEC, store)
         _check_acceptance(concurrent, store)
         concurrent_contents = payload_contents(store)
         concurrent_keys = concurrent.accounting_keys()
 
-    with ShardedFrameStore.files(3, tmp_path / "serial") as store_s:
+    with ShardedFrameStore.sqlite(3, directory=tmp_path / "serial") as store_s:
         serial = run_fleet(ACCEPTANCE_SPEC, store_s, concurrent=False)
         _check_acceptance(serial, store_s)
         assert payload_contents(store_s) == concurrent_contents
